@@ -1,31 +1,17 @@
-// Scheduler benchmark (DESIGN.md §15): cost-aware placement + work stealing
-// versus the legacy round-robin cursor on a SKEWED mixed workload, plus the
-// latency-class queue-jump win under batch backlog.
+// Scheduler benchmark (DESIGN.md §15): the latency-class queue-jump win
+// under batch backlog, and sharded admission through submit().
 //
-// Phase 1 (makespan): a job list alternating heavy rank-32 SpMTTKRPs with
-// cheap SpTTVs is burst-submitted to a 2-device engine twice -- once with
-// Placement::kRoundRobin and stealing off (the legacy admission), once with
-// the cost-model scheduler (warmed by sequential submits first). Round-robin
-// is blind to cost and, with the heavies at even list positions, piles every
-// heavy job onto device 0. Devices timeshare one host CPU, so like
-// bench_engine the reported metric is the critical-path model: makespan =
-// max over devices of the summed solo times of the jobs each device
-// executed (placement from the real burst's JobRecords -- steals show up
-// here -- per-job times from uncontended sequential runs). Headline claim
-// tracked by CI: scheduler makespan >= 1.4x better than round-robin.
-//
-// Phase 2 (service class): a 1-device engine is loaded with a batch backlog,
+// Phase 1 (service class): a 1-device engine is loaded with a batch backlog,
 // then probe jobs are submitted behind it -- once as kBatch, once as
 // kLatency. The probes' in-engine latency (JobRecord wait_s + exec_s) p99
 // must improve >= 2x when classed: latency jobs jump the backlog (bounded
 // by the aging rule, so the probe count stays <= latency_max_skips here).
 //
-// Phase 3 (sharded admission): a shard.num_devices=2 job through
+// Phase 2 (sharded admission): a shard.num_devices=2 job through
 // Engine::submit must produce bitwise-identical output to the direct
 // Engine::run path -- placement never changes the worker grid.
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -38,14 +24,6 @@ using namespace ust;
 
 namespace {
 
-struct Job {
-  std::string kind;
-  std::function<engine::OpRequest()> make;
-  bool heavy = false;
-  double solo_s = 0.0;
-  engine::JobRecord record;
-};
-
 double quantile(std::vector<double> v, double q) {
   if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());
@@ -57,14 +35,11 @@ double quantile(std::vector<double> v, double q) {
 
 int main(int argc, char** argv) {
   Cli cli("bench_sched",
-          "cost-model scheduler vs round-robin on a skewed mixed workload");
+          "latency-class probes behind batch backlog + sharded admission check");
   cli.option("dim", "220", "cube-ish tensor dimension");
-  cli.option("nnz", "180000", "non-zeros of the HEAVY jobs' tensor");
-  cli.option("light-nnz", "15000", "non-zeros of the LIGHT jobs' tensor");
+  cli.option("nnz", "180000", "non-zeros of the HEAVY (backlog) jobs' tensor");
+  cli.option("light-nnz", "15000", "non-zeros of the LIGHT (probe) jobs' tensor");
   cli.option("heavy-rank", "32", "factor rank of the heavy SpMTTKRP jobs");
-  cli.option("heavy-jobs", "6", "heavy jobs in the skewed list");
-  cli.option("light-jobs", "18", "light SpTTV jobs in the skewed list");
-  cli.option("reps", "3", "sequential timing repetitions (median per job)");
   cli.option("backlog", "48", "batch jobs queued ahead of the latency probes");
   cli.option("probes", "4", "latency-class probe jobs (keep <= aging bound)");
   cli.option("json", "", "also write results to this path as a BENCH_*.json file");
@@ -74,16 +49,12 @@ int main(int argc, char** argv) {
   const auto nnz = static_cast<nnz_t>(cli.get_int("nnz"));
   const auto light_nnz = static_cast<nnz_t>(cli.get_int("light-nnz"));
   const auto heavy_rank = static_cast<index_t>(cli.get_int("heavy-rank"));
-  const int heavy_jobs = static_cast<int>(cli.get_int("heavy-jobs"));
-  const int light_jobs = static_cast<int>(cli.get_int("light-jobs"));
-  const int reps = static_cast<int>(cli.get_int("reps"));
   const int backlog = static_cast<int>(cli.get_int("backlog"));
   const int probes = static_cast<int>(cli.get_int("probes"));
 
-  // Two tensors make the skew sharp (~30x per-job cost ratio): heavies are
-  // rank-32 SpMTTKRPs over the big tensor, lights SpTTVs over the small one.
-  // Without that gap the ideal balanced makespan sits too close to the
-  // round-robin one for placement quality to show at all.
+  // Two tensors make the skew sharp (~30x per-job cost ratio): the backlog
+  // is rank-32 SpMTTKRPs over the big tensor, the probes SpTTVs over the
+  // small one, so a probe stuck behind the backlog waits visibly long.
   const CooTensor t =
       io::generate_zipf({dim, dim, std::max<index_t>(2, dim / 2)}, nnz, {0.9, 0.9, 0.9}, 4242);
   const CooTensor t_light = io::generate_zipf(
@@ -99,137 +70,7 @@ int main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------------
-  // Phase 1: skewed-list makespan, round-robin vs cost-model scheduler.
-  // -------------------------------------------------------------------------
-  // Both device costs in the critical-path model come from ONE uncontended
-  // timing pass (all heavies are the same job, as are all lights), so the
-  // round-robin and scheduler runs are compared with identical per-kind
-  // costs -- the ratio reflects placement counts only, not timing noise
-  // between the two engine instances.
-  double heavy_solo = 0.0, light_solo = 0.0;
-  {
-    engine::Engine eng(engine::EngineOptions{.num_devices = 1});
-    core::UnifiedMttkrp mttkrp(eng, t, 0, part);
-    core::UnifiedTtv ttv(eng, t_light, 0, part);
-    DenseMatrix mat_out(t.dim(0), heavy_rank);
-    std::vector<value_t> vec_out(t_light.dim(0));
-    eng.run(mttkrp.request(factors, mat_out));  // first-touch plan builds
-    eng.run(ttv.request(vecs, vec_out));
-    heavy_solo = bench::time_median(
-        [&] { eng.run(mttkrp.request(factors, mat_out)); }, std::max(3, reps));
-    light_solo = bench::time_median([&] { eng.run(ttv.request(vecs, vec_out)); },
-                                    std::max(3, reps));
-  }
-  std::printf("solo cost: heavy %.3f ms, light %.3f ms (%.1fx skew)\n",
-              heavy_solo * 1e3, light_solo * 1e3,
-              light_solo > 0.0 ? heavy_solo / light_solo : 0.0);
-
-  // max_batch=1 isolates placement from PR 7's same-plan fusion; both engines
-  // see the identical job list in the identical submit order.
-  auto run_skewed = [&](engine::EngineOptions opt, bool warm, std::uint64_t* steals,
-                        double* makespan) {
-    opt.num_devices = 2;
-    opt.max_batch = 1;
-    engine::Engine eng(opt);
-    core::UnifiedMttkrp mttkrp(eng, t, 0, part);
-    core::UnifiedTtv ttv(eng, t_light, 0, part);
-
-    std::vector<Job> jobs;
-    std::vector<DenseMatrix> mat_outs;
-    std::vector<std::vector<value_t>> vec_outs;
-    mat_outs.reserve(static_cast<std::size_t>(heavy_jobs));
-    vec_outs.reserve(static_cast<std::size_t>(light_jobs));
-    // Heavies at even positions: the round-robin cursor sends every one of
-    // them to device 0 -- the skew the cost model is supposed to fix.
-    int h = 0;
-    for (int j = 0; j < heavy_jobs + light_jobs; ++j) {
-      Job job;
-      if (j % 2 == 0 && h < heavy_jobs) {
-        ++h;
-        mat_outs.emplace_back(t.dim(0), heavy_rank);
-        job.kind = "spmttkrp";
-        job.heavy = true;
-        job.make = [&, out = &mat_outs.back()] { return mttkrp.request(factors, *out); };
-      } else {
-        vec_outs.emplace_back(t_light.dim(0));
-        job.kind = "spttv";
-        job.make = [&, out = &vec_outs.back()] { return ttv.request(vecs, *out); };
-      }
-      jobs.push_back(std::move(job));
-    }
-
-    eng.prewarm(*mttkrp.op_plan());
-    eng.prewarm(*ttv.op_plan());
-
-    // The cost model learns only from worker-executed jobs (Engine::run stays
-    // off the books), so warm it with sequential submits of the same mix.
-    if (warm) {
-      for (int rep = 0; rep < 2; ++rep) {
-        for (Job& job : jobs) eng.submit(job.make()).get();
-      }
-    }
-
-    // Best of `reps` bursts: on a timeshared host the OS can starve one
-    // worker thread mid-burst; the scheduler correctly routes around it,
-    // but the critical-path model would read that as placement imbalance.
-    // The min over bursts is the placement quality signal.
-    *makespan = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < std::max(1, reps); ++rep) {
-      Timer wall;
-      std::vector<std::future<void>> futures;
-      futures.reserve(jobs.size());
-      for (Job& job : jobs) futures.push_back(eng.submit(job.make(), &job.record));
-      for (auto& f : futures) f.get();
-      const double wall_s = wall.seconds();
-
-      std::vector<double> device_cost(2, 0.0);
-      std::vector<int> device_heavies(2, 0);
-      std::vector<int> device_lights(2, 0);
-      for (const Job& job : jobs) {
-        const unsigned d = static_cast<unsigned>(std::max(0, job.record.device));
-        device_cost[d] += job.heavy ? heavy_solo : light_solo;
-        if (job.heavy) {
-          ++device_heavies[d];
-        } else {
-          ++device_lights[d];
-        }
-      }
-      const double rep_makespan =
-          *std::max_element(device_cost.begin(), device_cost.end());
-      *makespan = std::min(*makespan, rep_makespan);
-      std::printf(
-          "  d0 = %d heavy + %d light (%.3f ms), d1 = %d heavy + %d light (%.3f ms)"
-          " -> makespan %.3f ms, wall %.3f ms\n",
-          device_heavies[0], device_lights[0], device_cost[0] * 1e3, device_heavies[1],
-          device_lights[1], device_cost[1] * 1e3, rep_makespan * 1e3, wall_s * 1e3);
-    }
-    *steals = eng.stats().steals;
-    std::printf("  best makespan %.3f ms, steals %llu\n", *makespan * 1e3,
-                static_cast<unsigned long long>(*steals));
-  };
-
-  print_banner("Skewed mixed list: round-robin baseline (stealing off)");
-  engine::EngineOptions rr;
-  rr.placement = engine::EngineOptions::Placement::kRoundRobin;
-  rr.work_stealing = false;
-  std::uint64_t rr_steals = 0;
-  double rr_makespan = 0.0;
-  run_skewed(rr, /*warm=*/false, &rr_steals, &rr_makespan);
-
-  print_banner("Skewed mixed list: cost-model scheduler (warmed) + stealing");
-  engine::EngineOptions sched;  // defaults: kCostModel, stealing on
-  std::uint64_t sched_steals = 0;
-  double sched_makespan = 0.0;
-  run_skewed(sched, /*warm=*/true, &sched_steals, &sched_makespan);
-
-  const double sched_speedup =
-      sched_makespan > 0.0 ? rr_makespan / sched_makespan : 0.0;
-  std::printf(
-      "scheduler makespan %.3f ms vs round-robin %.3f ms -> %.2fx better placement\n",
-      sched_makespan * 1e3, rr_makespan * 1e3, sched_speedup);
-
-  // -------------------------------------------------------------------------
-  // Phase 2: latency-class probes behind a batch backlog, 1 device.
+  // Phase 1: latency-class probes behind a batch backlog, 1 device.
   // -------------------------------------------------------------------------
   auto run_probes = [&](bool classed) {
     engine::EngineOptions opt;
@@ -278,7 +119,7 @@ int main(int argc, char** argv) {
       p99_unclassed * 1e3, p99_classed * 1e3, latency_improvement);
 
   // -------------------------------------------------------------------------
-  // Phase 3: sharded submit stays bitwise identical to the direct path.
+  // Phase 2: sharded submit stays bitwise identical to the direct path.
   // -------------------------------------------------------------------------
   print_banner("Sharded admission bitwise check (2 devices)");
   bool sharded_bitwise = true;
@@ -298,12 +139,6 @@ int main(int argc, char** argv) {
               sharded_bitwise ? "bitwise identical" : "MISMATCH");
 
   bench::JsonResults json("bench_sched");
-  json.add("sched.heavy_jobs", static_cast<double>(heavy_jobs));
-  json.add("sched.light_jobs", static_cast<double>(light_jobs));
-  json.add("sched.rr_makespan_s", rr_makespan);
-  json.add("sched.cost_model_makespan_s", sched_makespan);
-  json.add("sched.makespan_speedup", sched_speedup);
-  json.add("sched.steals", static_cast<double>(sched_steals));
   json.add("sched.latency_p99_unclassed_s", p99_unclassed);
   json.add("sched.latency_p99_classed_s", p99_classed);
   json.add("sched.latency_p99_improvement", latency_improvement);

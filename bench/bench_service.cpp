@@ -12,9 +12,8 @@
 //
 // A second experiment measures request batching (DESIGN.md §13): a
 // same-plan multi-tenant burst is replayed against a batching-on server
-// (engine max_batch + submit coalescing) and a batching-off server
-// (max_batch 1, coalescing disabled); batch_speedup is the throughput
-// ratio. A third forced-scalar replay yields the service-level
+// (engine max_batch 8) and a batching-off server (max_batch 1);
+// batch_speedup is the throughput ratio. A third forced-scalar replay yields the service-level
 // simd_speedup. Both phases keep full byte-for-byte verification -- a
 // fused or vectorized response that diverges from the sequential scalar
 // truth counts corrupt and fails the smoke.
@@ -33,22 +32,19 @@ namespace {
 struct BurstResult {
   service::LoadgenReport report;
   engine::EngineStats engine_stats;
-  service::ServerStats server_stats;
 };
 
-/// One same-plan burst against a fresh engine + server configured by
-/// (max_batch, coalesce). Fresh instances per phase keep the counters and
-/// plan caches phase-local.
+/// One same-plan burst against a fresh engine + server with the given
+/// max_batch. Fresh instances per phase keep the counters and plan caches
+/// phase-local.
 BurstResult run_burst(const service::LoadgenOptions& base, std::size_t max_batch,
-                      bool coalesce, std::size_t queue) {
+                      std::size_t queue) {
   engine::EngineOptions eopt;
   eopt.num_devices = 1;
   eopt.max_queued_jobs = queue;
   eopt.max_batch = max_batch;
   engine::Engine eng(eopt);
-  service::ServerOptions sopt;
-  sopt.coalesce_submits = coalesce;
-  service::TensorOpServer server(eng, sopt);
+  service::TensorOpServer server(eng);
   server.start();
   service::LoadgenOptions lopt = base;
   lopt.port = server.port();
@@ -57,7 +53,6 @@ BurstResult run_burst(const service::LoadgenOptions& base, std::size_t max_batch
   r.report = service::run_loadgen(lopt);
   server.stop();
   r.engine_stats = eng.stats();
-  r.server_stats = server.stats();
   return r;
 }
 
@@ -162,12 +157,12 @@ int main(int argc, char** argv) {
   burst.nnz = static_cast<nnz_t>(std::max(1l, cli.get_int("burst-nnz")));
   const std::size_t burst_queue = 64;
 
-  const BurstResult on = run_burst(burst, /*max_batch=*/8, /*coalesce=*/true, burst_queue);
-  const BurstResult off = run_burst(burst, /*max_batch=*/1, /*coalesce=*/false, burst_queue);
+  const BurstResult on = run_burst(burst, /*max_batch=*/8, burst_queue);
+  const BurstResult off = run_burst(burst, /*max_batch=*/1, burst_queue);
   BurstResult scalar_off;
   {
     core::simd::ScopedLevel forced(core::simd::Level::kScalar);
-    scalar_off = run_burst(burst, /*max_batch=*/1, /*coalesce=*/false, burst_queue);
+    scalar_off = run_burst(burst, /*max_batch=*/1, burst_queue);
   }
   const double batch_speedup = off.report.throughput_rps > 0
                                    ? on.report.throughput_rps / off.report.throughput_rps
@@ -175,19 +170,17 @@ int main(int argc, char** argv) {
   const double simd_speedup = scalar_off.report.throughput_rps > 0
                                   ? off.report.throughput_rps / scalar_off.report.throughput_rps
                                   : 0.0;
-  Table bt({"phase", "req/s", "p99 (us)", "batches", "jobs batched", "coalesced"});
+  Table bt({"phase", "req/s", "p99 (us)", "batches", "jobs batched"});
   bt.add_row({"batching on", Table::num(on.report.throughput_rps, 1),
               Table::num(on.report.percentile_us(99), 0),
               std::to_string(on.engine_stats.batches_formed),
-              std::to_string(on.engine_stats.jobs_batched),
-              std::to_string(on.server_stats.coalesced_submits)});
+              std::to_string(on.engine_stats.jobs_batched)});
   bt.add_row({"batching off", Table::num(off.report.throughput_rps, 1),
               Table::num(off.report.percentile_us(99), 0),
               std::to_string(off.engine_stats.batches_formed),
-              std::to_string(off.engine_stats.jobs_batched),
-              std::to_string(off.server_stats.coalesced_submits)});
+              std::to_string(off.engine_stats.jobs_batched)});
   bt.add_row({"off + forced scalar", Table::num(scalar_off.report.throughput_rps, 1),
-              Table::num(scalar_off.report.percentile_us(99), 0), "0", "0", "0"});
+              Table::num(scalar_off.report.percentile_us(99), 0), "0", "0"});
   bt.print();
   std::printf("batch_speedup %.2fx, service simd_speedup %.2fx\n", batch_speedup,
               simd_speedup);
@@ -217,8 +210,6 @@ int main(int argc, char** argv) {
   json.add("burst_rps_forced_scalar", scalar_off.report.throughput_rps);
   json.add("burst_batches_formed", static_cast<double>(on.engine_stats.batches_formed));
   json.add("burst_jobs_batched", static_cast<double>(on.engine_stats.jobs_batched));
-  json.add("burst_coalesced_submits",
-           static_cast<double>(on.server_stats.coalesced_submits));
   json.add("batch_speedup", batch_speedup);
   json.add("simd_speedup", simd_speedup);
   if (!json.write(cli.get("json"))) return 1;

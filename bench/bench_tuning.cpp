@@ -24,6 +24,17 @@ const std::vector<nnz_t> kChunkAxis{0, 16384};
 /// showing whether tiling the accumulator pays on a dataset.
 const std::vector<index_t> kRankBlockAxis{0, 32};
 
+/// "(BLOCK_SIZE, threadlen)" label of a Table V cell, appended piecewise:
+/// GCC 12 raises a false -Wrestrict on inlined `"(" + std::to_string(...)`.
+std::string part_label(const Partitioning& p) {
+  std::string label = "(";
+  label += std::to_string(p.block_size);
+  label += ", ";
+  label += std::to_string(p.threadlen);
+  label += ")";
+  return label;
+}
+
 core::TuneResult tune_mttkrp(engine::Engine& eng, const CooTensor& t,
                              const std::vector<DenseMatrix>& factors,
                              const std::vector<unsigned>& threadlens,
@@ -133,26 +144,17 @@ int main(int argc, char** argv) {
     const auto factors = bench::make_factors(d.tensor, rank);
     {
       const auto r = tune_spttm(eng, d.tensor, factors[2], threadlens, blocks, reps);
-      t.add_row({d.name, "SpTTM m3",
-                 "(" + std::to_string(r.best.block_size) + ", " +
-                     std::to_string(r.best.threadlen) + ")",
-                 core::backend_name(r.best_backend),
-                 Table::num(r.best_seconds * 1e3, 2),
-                 "(" + std::to_string(d.spec.best_spttm.block_size) + ", " +
-                     std::to_string(d.spec.best_spttm.threadlen) + ")"});
+      t.add_row({d.name, "SpTTM m3", part_label(r.best), core::backend_name(r.best_backend),
+                 Table::num(r.best_seconds * 1e3, 2), part_label(d.spec.best_spttm)});
       json.add(d.name + ".spttm.best_s", r.best_seconds);
       json.add(d.name + ".spttm.best_backend", core::backend_name(r.best_backend));
       json.add(d.name + ".spttm.best_chunk_nnz", static_cast<double>(r.best_chunk_nnz));
     }
     {
       const auto r = tune_mttkrp(eng, d.tensor, factors, threadlens, blocks, reps);
-      t.add_row({d.name, "SpMTTKRP m1",
-                 "(" + std::to_string(r.best.block_size) + ", " +
-                     std::to_string(r.best.threadlen) + ")",
-                 core::backend_name(r.best_backend),
-                 Table::num(r.best_seconds * 1e3, 2),
-                 "(" + std::to_string(d.spec.best_spmttkrp.block_size) + ", " +
-                     std::to_string(d.spec.best_spmttkrp.threadlen) + ")"});
+      t.add_row({d.name, "SpMTTKRP m1", part_label(r.best),
+                 core::backend_name(r.best_backend), Table::num(r.best_seconds * 1e3, 2),
+                 part_label(d.spec.best_spmttkrp)});
       json.add(d.name + ".spmttkrp.best_s", r.best_seconds);
       json.add(d.name + ".spmttkrp.best_backend", core::backend_name(r.best_backend));
       json.add(d.name + ".spmttkrp.best_chunk_nnz", static_cast<double>(r.best_chunk_nnz));

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "core/native_exec.hpp"
@@ -89,15 +87,6 @@ std::uint64_t steady_ns() {
           .count());
 }
 
-/// Cost-model work feature: the accumulator traffic is ~ nnz x output width.
-double cost_feature(const OpPlan& p, index_t out_cols) {
-  return static_cast<double>(p.nnz) * static_cast<double>(std::max<index_t>(1, out_cols));
-}
-
-int backend_index(core::ExecBackend b) {
-  return b == core::ExecBackend::kSim ? 1 : 0;
-}
-
 constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
 
 }  // namespace
@@ -141,18 +130,10 @@ Engine::Engine(sim::Device& primary, const EngineOptions& opt)
 }
 
 void Engine::init_group(sim::Device& primary, const EngineOptions& opt) {
-  placement_ = opt.placement;
-  work_stealing_ = opt.work_stealing;
   latency_max_skips_ = opt.latency_max_skips;
   group_ = std::make_unique<shard::DeviceGroup>(primary, std::max(1u, opt.num_devices),
                                                 opt.cache_bytes_per_device);
-  for (unsigned d = 0; d < group_->size(); ++d) {
-    rt_.emplace_back();
-    // Engine caches hold primaries + rebuildable replica/shard flavors side
-    // by side: evict the cheap-to-rebuild replicas first (DESIGN.md §15) so
-    // cache-aware placement is not fighting plain LRU.
-    group_->cache(d).set_eviction_policy(pipeline::PlanCache::EvictionPolicy::kReplicaFirst);
-  }
+  while (rt_.size() < group_->size()) rt_.emplace_back();
 }
 
 Engine::~Engine() {
@@ -197,11 +178,7 @@ void Engine::ensure_devices(unsigned n) {
 
 void Engine::grow_locked(unsigned n) {
   group_->grow(n);
-  while (rt_.size() < group_->size()) {
-    group_->cache(static_cast<unsigned>(rt_.size()))
-        .set_eviction_policy(pipeline::PlanCache::EvictionPolicy::kReplicaFirst);
-    rt_.emplace_back();
-  }
+  while (rt_.size() < group_->size()) rt_.emplace_back();
   if (workers_started_) start_workers_locked();
 }
 
@@ -334,9 +311,7 @@ std::shared_ptr<const pipeline::CachedPlan> Engine::replica_plan(unsigned d,
     spec.first_seg = 0;
     spec.num_segments = p.num_segments;
     pipeline::CachedPlan cached;
-    Timer build_timer;
     cached.chunk = pipeline::build_chunk_plan(*dev, p.host(), p.part, spec, /*row_base=*/0);
-    cached.build_s = build_timer.seconds();
     return cached;
   });
 }
@@ -735,62 +710,8 @@ void Engine::exec_sharded_body(const OpRequest& req, shard::Report* report) {
   if (!out_buf.empty()) rts[0]->scratch.push_back(std::move(out_buf));
 }
 
-double Engine::predict_locked(OpKind kind, core::ExecBackend backend, double x) const {
-  const CostCell& c = cost_cells_[static_cast<int>(kind)][backend_index(backend)];
-  if (c.n < kCostModelMinSamples) return -1.0;
-  const double n = static_cast<double>(c.n);
-  const double denom = n * c.sum_xx - c.sum_x * c.sum_x;
-  double pred;
-  if (std::abs(denom) < 1e-12 * std::max(1.0, n * c.sum_xx)) {
-    // Degenerate feature spread (every sample the same size): the mean is
-    // the best available estimate.
-    pred = c.sum_y / n;
-  } else {
-    const double b = (n * c.sum_xy - c.sum_x * c.sum_y) / denom;
-    const double a = (c.sum_y - b * c.sum_x) / n;
-    pred = a + b * x;
-  }
-  return std::max(pred, 0.0);
-}
-
-double Engine::global_mean_locked() const {
-  double sum = 0.0;
-  std::uint64_t n = 0;
-  for (const auto& row : cost_cells_) {
-    for (const CostCell& c : row) {
-      sum += c.sum_y;
-      n += c.n;
-    }
-  }
-  return n > 0 ? sum / static_cast<double>(n) : 0.0;
-}
-
-bool Engine::plan_cached_locked(unsigned d, const OpPlan& p) const {
-  if (p.streaming()) return true;  // chunk plans are transient: no residency
-  if (d == 0) return p.bundle != nullptr;
-  pipeline::PlanKey key;
-  key.device = &group_->device(d);
-  key.tensor_fp = p.tensor_fp;
-  key.op = p.cache_op;
-  key.mode = p.mode;
-  key.threadlen = p.part.threadlen;
-  key.block_size = p.part.block_size;
-  key.shard_lo = 0;
-  key.shard_hi = p.nnz;
-  key.chunk_nnz = 0;
-  key.flavor = pipeline::PlanKey::kWholeReplica;
-  return group_->cache(d).contains(key);
-}
-
-unsigned Engine::pick_device_locked(Job& job) {
-  const OpRequest& req = job.req;
-  const OpPlan& p = *req.plan;
+unsigned Engine::pick_device_locked(const OpRequest& req) {
   const unsigned n = static_cast<unsigned>(rt_.size());
-  const double x = cost_feature(p, req.out_cols);
-  const double pred = predict_locked(p.kind, req.options.backend, x);
-  job.predicted = pred >= 0.0;
-  job.pred_s = job.predicted ? pred : global_mean_locked();
-
   // Pins: the simulator needs the primary's UnifiedPlan; a sharded job's
   // reservation is anchored at device 0 (its worker performs it).
   if (req.options.backend == core::ExecBackend::kSim ||
@@ -809,66 +730,25 @@ unsigned Engine::pick_device_locked(Job& job) {
     }
   }
 
-  // Rotating pick among `candidates` (bitmask-free: a vector of ordinals):
-  // equally-good devices are cycled so identical bursts spread out.
-  const auto rotate_pick = [&](const std::vector<unsigned>& candidates) {
-    unsigned best = candidates.front();
-    for (unsigned step = 0; step < n; ++step) {
-      const unsigned d = (next_device_ + step) % n;
-      if (std::find(candidates.begin(), candidates.end(), d) != candidates.end()) {
-        best = d;
-        break;
-      }
+  // Least-loaded by job count (queued + executing). Scanning from the
+  // cursor and keeping the first minimum rotates ties, so bursts of
+  // identical jobs spread out instead of piling on device 0.
+  unsigned best = next_device_;
+  std::size_t best_load = static_cast<std::size_t>(-1);
+  for (unsigned step = 0; step < n; ++step) {
+    const unsigned d = (next_device_ + step) % n;
+    const std::size_t load = rt_[d].queue.size() + rt_[d].active_now;
+    if (load < best_load) {
+      best_load = load;
+      best = d;
     }
-    next_device_ = (best + 1) % n;
-    return best;
-  };
-
-  if (placement_ == EngineOptions::Placement::kRoundRobin) {
-    const unsigned d = next_device_;
-    next_device_ = (next_device_ + 1) % n;
-    return d;
   }
-
-  if (!job.predicted) {
-    // Cold model: least-loaded by job count, ties rotated.
-    std::size_t best_load = static_cast<std::size_t>(-1);
-    std::vector<unsigned> ties;
-    for (unsigned d = 0; d < n; ++d) {
-      const std::size_t load = rt_[d].queue.size() + rt_[d].active_now;
-      if (load < best_load) {
-        best_load = load;
-        ties.clear();
-      }
-      if (load == best_load) ties.push_back(d);
-    }
-    return rotate_pick(ties);
-  }
-
-  // Warm model: minimise predicted makespan = queued backlog + in-flight
-  // estimate + this job's cost. Within a 5% band of the best, prefer
-  // devices whose PlanCache already holds the plan (placement should not
-  // force a replica rebuild when an equally-loaded holder exists).
-  double best_finish = std::numeric_limits<double>::infinity();
-  std::vector<unsigned> band;
-  for (unsigned d = 0; d < n; ++d) {
-    const double finish = rt_[d].queue_pred_s + rt_[d].active_pred_s + job.pred_s;
-    best_finish = std::min(best_finish, finish);
-  }
-  for (unsigned d = 0; d < n; ++d) {
-    const double finish = rt_[d].queue_pred_s + rt_[d].active_pred_s + job.pred_s;
-    if (finish <= best_finish * 1.05 + 1e-9) band.push_back(d);
-  }
-  std::vector<unsigned> holders;
-  for (unsigned d : band) {
-    if (plan_cached_locked(d, p)) holders.push_back(d);
-  }
-  return rotate_pick(holders.empty() ? band : holders);
+  next_device_ = (best + 1) % n;
+  return best;
 }
 
 void Engine::enqueue_locked(unsigned d, Job&& job) {
   DeviceRt& rt = rt_[d];
-  rt.queue_pred_s += job.pred_s;
   if (job.req.service_class == OpRequest::ServiceClass::kLatency) {
     // Jump ahead of batch-class backlog, but never past a batch job that has
     // exhausted its skip budget (aging: bounded starvation), and keep FIFO
@@ -928,7 +808,7 @@ std::future<void> Engine::submit(OpRequest req, JobRecord* record, Admission adm
     job.t_submit_ns = steady_ns();
     if (obs::tracing_enabled()) job.t_enqueue_ns = obs::now_ns();
     fut = job.done.get_future();
-    const unsigned d = pick_device_locked(job);
+    const unsigned d = pick_device_locked(job.req);
     enqueue_locked(d, std::move(job));
     ++queued_total_;
     ++jobs_submitted_;
@@ -951,7 +831,6 @@ std::size_t Engine::poppable_index_locked(unsigned d) const {
 }
 
 int Engine::steal_victim_locked(unsigned d) const {
-  if (!work_stealing_) return -1;
   if (resv_pending_ && d < resv_n_ && !stop_) return -1;  // reserved: drain own queue only
   int best = -1;
   std::size_t best_depth = 0;
@@ -999,8 +878,6 @@ std::vector<Engine::Job> Engine::take_group_locked(unsigned v, std::size_t at) {
       }
     }
   }
-  for (const Job& j : group) rt.queue_pred_s -= j.pred_s;
-  if (rt.queue.empty()) rt.queue_pred_s = 0.0;  // absorb float drift at idle
   return group;
 }
 
@@ -1050,7 +927,6 @@ void Engine::worker_loop(unsigned d, DeviceRt* rt) {
       queued_total_ -= batch.size();
       active_jobs_ += batch.size();
       rt->active_now = batch.size();
-      for (const Job& j : batch) rt->active_pred_s += j.pred_s;
       if (batch.size() > 1) {
         jobs_batched_ += batch.size();
         ++batches_formed_;
@@ -1135,36 +1011,16 @@ void Engine::worker_loop(unsigned d, DeviceRt* rt) {
     // amortised share so per-job sums stay comparable with solo execution.
     const double share = seconds / static_cast<double>(batch.size());
     for (std::size_t j = 0; j < batch.size(); ++j) exec_latency_us_.record(share * 1e6);
-    for (const Job& j : batch) {
-      if (j.predicted) {
-        const double denom = std::max(share, 1e-9);
-        prediction_error_pct_.record(std::abs(j.pred_s - share) / denom * 100.0);
-      }
-    }
     {
       std::lock_guard lock(state_mutex_);
       active_jobs_ -= batch.size();
       rt->active_now = 0;
-      rt->active_pred_s = 0.0;
       rt->jobs += batch.size();
       rt->busy_s += seconds;
       jobs_completed_ += batch.size();
       for (const Job& j : batch) {
-        const OpPlan& p = *j.req.plan;
-        job_history_.push_back({static_cast<int>(d), p.kind, p.nnz, j.req.out_cols,
-                                j.req.options.chunk_nnz,
+        job_history_.push_back({static_cast<int>(d), j.req.plan->kind, j.req.plan->nnz,
                                 static_cast<std::uint32_t>(batch.size()), share});
-        // Feed the cost model with the amortised share: that is also what
-        // placement sums, so backlog estimates stay in one unit.
-        CostCell& cell = cost_cells_[static_cast<int>(p.kind)]
-                                    [backend_index(j.req.options.backend)];
-        const double x = cost_feature(p, j.req.out_cols);
-        cell.sum_x += x;
-        cell.sum_y += share;
-        cell.sum_xx += x * x;
-        cell.sum_xy += x * share;
-        ++cell.n;
-        if (j.predicted) ++sched_predictions_;
       }
       while (job_history_.size() > EngineStats::kJobHistoryCap) job_history_.pop_front();
       if (active_jobs_ == 0 && queued_total_ == 0) idle_cv_.notify_all();
@@ -1210,9 +1066,7 @@ EngineStats Engine::stats() const {
   s.jobs_batched = jobs_batched_;
   s.batches_formed = batches_formed_;
   s.steals = steals_;
-  s.sched_predictions = sched_predictions_;
   s.exec_latency_us = exec_latency_us_.snapshot();
-  s.prediction_error_pct = prediction_error_pct_.snapshot();
   s.job_history.assign(job_history_.begin(), job_history_.end());
   return s;
 }

@@ -10,17 +10,14 @@
 // build an OpRequest and hand it here.
 //
 // Concurrency model (`submit`): jobs enter a bounded queue and are admitted
-// to per-device sub-queues by the cost-model scheduler (DESIGN.md §15): a job
+// to per-device sub-queues by one placement rule (DESIGN.md §15): a job
 // batch-compatible with an already-queued job lands on that job's device
-// (batch affinity); otherwise placement minimises the device's predicted
-// finish time (queued backlog + predicted exec_s from a per-(op kind,
-// backend) online regression over the nnz x rank feature, fed by the job
-// history), preferring devices whose PlanCache already holds the plan and
-// falling back to least-loaded placement until the model has enough samples.
-// A device that drains its own queue steals the whole batch-affinity group
-// at the head of the deepest backlogged queue, so one long job never idles
-// the rest of the group. Latency-class jobs (OpRequest::ServiceClass) jump
-// ahead of batch backlog but age it: each batch job is passed at most
+// (batch affinity); otherwise it goes to the device with the fewest queued
+// plus executing jobs, ties rotated. A device that drains its own queue
+// steals the whole batch-affinity group at the head of the deepest
+// backlogged queue, so one long job never idles the rest of the group.
+// Latency-class jobs (OpRequest::ServiceClass) jump ahead of batch backlog
+// but age it: each batch job is passed at most
 // EngineOptions::latency_max_skips times. Sharded jobs reserve their device
 // span through the same queues (the reservation drains older work first).
 // One in-flight execution per device (the per-device admission lock) is
@@ -174,20 +171,6 @@ struct EngineOptions {
   /// 1 disables coalescing -- the batching-off baseline benches compare
   /// against.
   std::size_t max_batch = 8;
-  /// How submit() places jobs onto device sub-queues (DESIGN.md §15).
-  /// kCostModel predicts each device's finish time from the job-history
-  /// regression (least-loaded until the model is warm); kRoundRobin is the
-  /// legacy rotating cursor, kept as the scheduling-off bench baseline.
-  /// Batch affinity and the sim/sharded pins apply under either policy.
-  enum class Placement : std::uint8_t {
-    kCostModel = 0,
-    kRoundRobin = 1,
-  };
-  Placement placement = Placement::kCostModel;
-  /// A worker whose queue drains steals the head batch-affinity group of
-  /// the deepest backlogged queue. Off = jobs only run where placed (the
-  /// stealing-off bench baseline).
-  bool work_stealing = true;
   /// Aging bound for latency-class queue jumps: a batch-class job passed
   /// this many times cannot be passed again (see OpRequest::ServiceClass).
   unsigned latency_max_skips = 4;
@@ -200,7 +183,7 @@ struct EngineOptions {
 /// stream; anything else (streaming, sharded, sim, or mismatched) executes
 /// sequentially in its position. Either way every request's result is
 /// bitwise identical to running it alone, so callers (CP-ALS inner
-/// iterations, the service's coalesced same-plan bursts) batch freely.
+/// iterations, same-plan bursts) batch freely.
 struct BatchedRequest {
   std::vector<OpRequest> requests;
 };
@@ -254,32 +237,20 @@ struct EngineStats {
   /// Per-job execution-latency distribution in MICROSECONDS (each job's
   /// amortised share of its batch, matching JobRecord::exec_s).
   obs::HistogramSnapshot exec_latency_us;
-  /// Bounded trailing history of executed jobs, oldest first (cap
-  /// kJobHistoryCap) -- the exec_s stream the cost-model scheduler
-  /// (DESIGN.md §15) fits its per-(op kind, backend) regression against.
+  /// Bounded trailing history of executed jobs in completion order, oldest
+  /// first (cap kJobHistoryCap).
   struct JobHistoryEntry {
     int device = 0;
     OpKind kind = OpKind::kSpMTTKRP;
     nnz_t nnz = 0;
-    /// Output width of the request (rank; rank^2 for SpTTMc, 1 for SpTTV):
-    /// together with nnz this is the cost model's work feature, nnz x rank.
-    index_t rank = 0;
-    /// Grid cap the job ran under (0 = whole-tensor single chunk).
-    nnz_t chunk_nnz = 0;
     std::uint32_t batch = 1;  // fused-batch size the job executed in
     double exec_s = 0.0;      // amortised share, as in JobRecord
   };
   static constexpr std::size_t kJobHistoryCap = 512;
   std::vector<JobHistoryEntry> job_history;
-  /// Scheduler counters (DESIGN.md §15): steal events (one per batch-
-  /// affinity group moved between device queues) and completed jobs whose
-  /// placement used a cost-model prediction (each contributes one sample to
-  /// prediction_error_pct).
+  /// Steal events (DESIGN.md §15): one per batch-affinity group moved
+  /// between device queues.
   std::uint64_t steals = 0;
-  std::uint64_t sched_predictions = 0;
-  /// |predicted - actual| / actual exec time, in PERCENT, for every
-  /// cost-model-placed job: the scheduler's own accuracy instrument.
-  obs::HistogramSnapshot prediction_error_pct;
 };
 
 /// Optional per-job record for submit(): filled (device ordinal + execution
@@ -356,9 +327,9 @@ class Engine {
   void run_batched(const BatchedRequest& batch);
 
   /// Concurrent submission: enqueues the job, places it onto a device
-  /// sub-queue via the cost-model scheduler (EngineOptions::placement), and
-  /// returns a future that resolves when it completes (or carries the job's
-  /// exception). Results are bitwise identical to run(). While the bounded
+  /// sub-queue (batch affinity, else least loaded), and returns a future
+  /// that resolves when it completes (or carries the job's exception).
+  /// Results are bitwise identical to run(). While the bounded
   /// queue is full, Admission::kBlock waits for a slot and
   /// Admission::kReject throws engine::QueueFull (retryable). A submission
   /// racing the destructor throws engine::ShuttingDown (terminal).
@@ -404,11 +375,6 @@ class Engine {
     /// Times a latency-class job has jumped ahead of this (batch-class) job;
     /// at latency_max_skips_ the job becomes un-passable (aging).
     unsigned skips = 0;
-    /// Scheduler's exec-seconds estimate for this job (cost-model prediction
-    /// when the model was warm -- `predicted` -- else the global-mean
-    /// fallback). Summed per queue for makespan-minimising placement.
-    double pred_s = 0.0;
-    bool predicted = false;
     /// steady_clock ns at enqueue, for JobRecord::wait_s (always stamped;
     /// t_enqueue_ns is the obs-gated twin).
     std::uint64_t t_submit_ns = 0;
@@ -420,11 +386,6 @@ class Engine {
     std::uint64_t jobs = 0;
     double busy_s = 0.0;
     std::size_t active_now = 0;  // jobs this device is executing (gauge)
-    /// Predicted seconds of queued (not yet dequeued) work; kept exactly in
-    /// sync with the queue's pred_s sum by enqueue/pop/steal.
-    double queue_pred_s = 0.0;
-    /// Predicted seconds of the batch currently executing (0 when idle).
-    double active_pred_s = 0.0;
     // One in-flight job per device: the per-device admission lock, shared
     // with synchronous run()/run_sharded().
     std::mutex exec_mutex;
@@ -435,18 +396,6 @@ class Engine {
     // (CP-ALS runs three ops per iteration on one device).
     std::vector<sim::DeviceBuffer<value_t>> scratch;
   };
-
-  /// Per-(op kind, backend) online least-squares fit of exec seconds against
-  /// the work feature x = nnz x rank: y = a + b*x. Accumulators only -- a
-  /// prediction solves the 2x2 normal equations on demand. Guarded by
-  /// state_mutex_.
-  struct CostCell {
-    double sum_x = 0.0, sum_y = 0.0, sum_xx = 0.0, sum_xy = 0.0;
-    std::uint64_t n = 0;
-  };
-  /// Samples a cell needs before its predictions are trusted; below it the
-  /// scheduler falls back to least-loaded placement.
-  static constexpr std::uint64_t kCostModelMinSamples = 8;
 
   void init_group(sim::Device& primary, const EngineOptions& opt);
   void validate_request(const OpRequest& req) const;
@@ -480,20 +429,10 @@ class Engine {
   std::shared_ptr<const pipeline::CachedPlan> replica_plan(unsigned d, const OpPlan& plan);
 
   // ---- scheduler internals (all require state_mutex_) --------------------
-  /// Cost-model prediction for (kind, backend) at feature x; < 0 when the
-  /// cell has too few samples.
-  double predict_locked(OpKind kind, core::ExecBackend backend, double x) const;
-  /// Mean exec_s across every cell -- the backlog estimate for jobs whose
-  /// own cell is cold (0 when no samples exist at all).
-  double global_mean_locked() const;
-  /// Fills job.pred_s / job.predicted and returns the target device for
-  /// job.req: pins (sim, sharded) -> 0; batch affinity; else cost-model
-  /// makespan minimisation with cache preference (or round-robin /
-  /// least-loaded fallback). Ties rotate through next_device_.
-  unsigned pick_device_locked(Job& job);
-  /// True when device d's PlanCache already holds the plan (device 0 always
-  /// does: the bundle rides the OpPlan itself).
-  bool plan_cached_locked(unsigned d, const OpPlan& p) const;
+  /// Target device for `req`: pins (sim, sharded) -> 0; else batch affinity;
+  /// else the device with the fewest queued plus executing jobs, ties
+  /// rotated through next_device_.
+  unsigned pick_device_locked(const OpRequest& req);
   /// Queue insertion implementing the service classes: batch-class appends;
   /// latency-class inserts ahead of batch jobs that still have skip budget
   /// and ages every batch job it passes.
@@ -508,7 +447,7 @@ class Engine {
   int steal_victim_locked(unsigned d) const;
   /// Pops the job at `at` in device v's queue plus every queued job
   /// batch-compatible with it (up to max_batch_, preserving the remainder's
-  /// order), maintaining queue_pred_s. The thief path of worker_loop.
+  /// order). Both the owner's pop and the thief path of worker_loop.
   std::vector<Job> take_group_locked(unsigned v, std::size_t at);
   /// Sharded reservation drain test: no reserved device is executing and no
   /// job older than the reservation remains on a reserved queue.
@@ -518,8 +457,6 @@ class Engine {
   std::unique_ptr<shard::DeviceGroup> group_;
   std::size_t max_queued_;
   std::size_t max_batch_;
-  EngineOptions::Placement placement_ = EngineOptions::Placement::kCostModel;
-  bool work_stealing_ = true;
   unsigned latency_max_skips_ = 4;
 
   // state_mutex_ guards the group/runtime structure (growth, worker spawn),
@@ -536,9 +473,9 @@ class Engine {
   /// submit() stops admitting new jobs so the grower cannot be starved by
   /// sustained traffic (growth needs active == queued == 0).
   std::size_t grow_waiters_ = 0;
-  /// Placement cursor: round-robin under Placement::kRoundRobin, tie
-  /// rotation under the cost model (equally-good devices are cycled so
-  /// bursts of identical jobs spread out instead of piling on device 0).
+  /// Tie-rotation cursor of least-loaded placement: equally-loaded devices
+  /// are cycled so bursts of identical jobs spread out instead of piling on
+  /// device 0.
   unsigned next_device_ = 0;
   bool workers_started_ = false;
   bool stop_ = false;
@@ -548,9 +485,6 @@ class Engine {
   std::uint64_t batches_formed_ = 0;
   std::uint64_t seq_next_ = 0;  // admission sequence source (Job::seq)
   std::uint64_t steals_ = 0;
-  std::uint64_t sched_predictions_ = 0;
-  /// kind x backend (0 = native, 1 = sim) regression cells.
-  CostCell cost_cells_[4][2];
   /// Sharded reservation (one at a time: only device 0's worker creates
   /// them). While pending, reserved workers 1..resv_n_-1 only pop jobs with
   /// seq < resv_seq_ and never steal; the reserving worker waits on
@@ -562,8 +496,6 @@ class Engine {
   /// Per-job exec-share latency (us); internally thread-safe, recorded by
   /// workers outside state_mutex_.
   obs::Histogram exec_latency_us_;
-  /// Cost-model accuracy instrument: |pred - actual| / actual, percent.
-  obs::Histogram prediction_error_pct_;
   /// Bounded exec_s history (state_mutex_), oldest at front.
   std::deque<EngineStats::JobHistoryEntry> job_history_;
 };

@@ -2,7 +2,6 @@
 
 #include "pipeline/stream_executor.hpp"
 #include "tensor/fcoo.hpp"
-#include "util/timer.hpp"
 
 namespace ust::pipeline {
 
@@ -110,35 +109,6 @@ std::shared_ptr<const CachedPlan> PlanCache::put(const PlanKey& key, CachedPlan 
   return shared;
 }
 
-void PlanCache::set_eviction_policy(EvictionPolicy policy) {
-  std::lock_guard lock(mutex_);
-  policy_ = policy;
-}
-
-bool PlanCache::contains(const PlanKey& key) const {
-  std::lock_guard lock(mutex_);
-  return index_.find(key) != index_.end();
-}
-
-std::list<PlanCache::Entry>::iterator PlanCache::pick_victim_locked() {
-  if (policy_ == EvictionPolicy::kLru) return std::prev(lru_.end());
-  // Replica-first: walk from the stale end. If any replica-flavor entry
-  // exists, the victim is a replica -- among a small window of the stalest
-  // replicas, the one cheapest to rebuild (lowest build_s). Primaries are
-  // only touched once every replica is gone.
-  constexpr int kWindow = 4;
-  auto victim = lru_.end();
-  int seen = 0;
-  for (auto it = std::prev(lru_.end());; --it) {
-    if (it->key.flavor == PlanKey::kWholeReplica) {
-      if (victim == lru_.end() || it->plan->build_s < victim->plan->build_s) victim = it;
-      if (++seen == kWindow) break;
-    }
-    if (it == lru_.begin()) break;
-  }
-  return victim != lru_.end() ? victim : std::prev(lru_.end());
-}
-
 void PlanCache::evict_to_budget_locked() {
   // The `size() > 1` guard is the always-keep-one invariant (see the
   // constructor comment): an entry larger than the whole budget -- including
@@ -147,7 +117,7 @@ void PlanCache::evict_to_budget_locked() {
   // underflowing (every eviction subtracts exactly the victim's recorded
   // bytes).
   while (bytes_in_use_ > byte_budget_ && lru_.size() > 1) {
-    const auto it = pick_victim_locked();
+    const auto it = std::prev(lru_.end());
     UST_ENSURES(bytes_in_use_ >= it->bytes);
     bytes_in_use_ -= it->bytes;
     index_.erase(it->key);
@@ -215,7 +185,6 @@ std::shared_ptr<const CachedPlan> acquire_plan(sim::Device& device,
                                                const Partitioning& part, PlanCache* cache,
                                                bool want_coords, std::uint64_t tensor_fp) {
   const auto build = [&] {
-    Timer build_timer;
     const FcooTensor fcoo = FcooTensor::build(tensor, mp.index_modes, mp.product_modes);
     CachedPlan cached{core::UnifiedPlan(device, fcoo, part), {}, nullptr};
     if (want_coords) {
@@ -225,7 +194,6 @@ std::shared_ptr<const CachedPlan> acquire_plan(sim::Device& device,
         cached.segment_coords[m].assign(coords.begin(), coords.end());
       }
     }
-    cached.build_s = build_timer.seconds();
     return cached;
   };
   if (cache == nullptr) return std::make_shared<const CachedPlan>(build());

@@ -43,10 +43,6 @@ struct CachedPlan {
   core::UnifiedPlan plan;
   std::vector<std::vector<index_t>> segment_coords;
   std::shared_ptr<const ChunkPlan> chunk = nullptr;
-  /// Wall seconds the builder spent constructing this entry. The replica-
-  /// first eviction policy uses it as the rebuild-cost weight: among equally
-  /// stale replica entries, the cheapest one to rebuild goes first.
-  double build_s = 0.0;
 
   /// Bytes charged against the cache budget: device bytes + host coords.
   std::size_t bytes() const;
@@ -102,27 +98,6 @@ class PlanCache {
 
   using Builder = std::function<CachedPlan()>;
 
-  /// How evict_to_budget picks victims under byte pressure.
-  ///
-  /// kLru is the classic tail-of-list policy. kReplicaFirst is the engine's
-  /// cross-device policy (DESIGN.md §15): replica-flavor entries
-  /// (PlanKey::kWholeReplica) are evicted before any primary entry, because
-  /// device 0 always holds the primary plan -- a lost replica costs one
-  /// rebuild on one device, while a lost primary forces every future hit
-  /// through a rebuild. Among the stalest replicas a small window is
-  /// examined and the one with the lowest recorded build_s (cheapest to
-  /// rebuild) is evicted first. When no replica entries remain the policy
-  /// degrades to plain LRU.
-  enum class EvictionPolicy : std::uint8_t { kLru = 0, kReplicaFirst = 1 };
-
-  void set_eviction_policy(EvictionPolicy policy);
-
-  /// True when `key` is resident, WITHOUT refreshing its LRU recency and
-  /// without counting a hit or miss. The scheduler's cache-aware placement
-  /// probes all devices per job; probes must not distort the LRU order or
-  /// the hit-rate stats.
-  bool contains(const PlanKey& key) const;
-
   /// Returns the cached plan for `key`, building (and caching) it via
   /// `build` on a miss. The returned shared_ptr stays valid after eviction.
   std::shared_ptr<const CachedPlan> get_or_build(const PlanKey& key, const Builder& build);
@@ -171,10 +146,8 @@ class PlanCache {
   };
 
   void evict_to_budget_locked();
-  std::list<Entry>::iterator pick_victim_locked();
 
   const std::size_t byte_budget_;
-  EvictionPolicy policy_ = EvictionPolicy::kLru;
   mutable std::mutex mutex_;
   std::list<Entry> lru_;  // front = most recently used
   std::unordered_map<PlanKey, std::list<Entry>::iterator, KeyHash> index_;

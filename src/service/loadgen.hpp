@@ -42,8 +42,7 @@ struct LoadgenOptions {
   /// SpMTTKRP mode-0 with one of several distinct factor sets. All tenants
   /// upload identical tensor content, and the engine plan cache keys on
   /// content, so the whole burst shares ONE cached plan -- the traffic shape
-  /// the service's submit coalescing and the engine's request batching
-  /// (DESIGN.md §13) are built to fuse. Verification is unchanged:
+  /// the engine's request batching (DESIGN.md §13) is built to fuse. Verification is unchanged:
   /// batched responses must stay byte-identical to the local truth.
   bool same_plan = false;
   /// Service-class mix: every Nth request per worker is sent latency-class

@@ -92,19 +92,6 @@ struct TensorOpServer::Impl {
   };
   std::list<Pending> pending;
 
-  /// Run requests parsed this poll tick but not yet handed to the engine.
-  /// Deferring the submit to one flush point per tick (flush_submits, before
-  /// harvest) lets the server sort the tick's requests by cached-plan
-  /// identity, so same-plan requests enter a worker queue adjacently and the
-  /// engine's coalescing pop fuses them into one batched pass. The OpRequest
-  /// points into job's matrices; both live in list nodes, so neither sorting
-  /// the list nor splicing job onward moves the pointed-to storage.
-  struct Deferred {
-    Pending job;
-    engine::OpRequest req;
-  };
-  std::list<Deferred> deferred;
-
   struct PlanSlot {
     std::uint64_t tensor = 0;
     std::uint8_t op = 0;
@@ -148,7 +135,7 @@ struct TensorOpServer::Impl {
   std::atomic<std::uint64_t> sessions_accepted{0}, requests{0}, responses{0},
       queue_full{0}, timeouts{0}, bad_requests{0}, slow_closes{0}, bytes_rx{0}, bytes_tx{0},
       tensors_gauge{0}, tensor_bytes_gauge{0}, plans_gauge{0}, plan_bytes_gauge{0},
-      sessions_gauge{0}, tenants_gauge{0}, coalesced{0};
+      sessions_gauge{0}, tenants_gauge{0};
 
   /// Metrics registry (DESIGN.md §14). The run-op latency histogram is
   /// recorded by the I/O thread (arrival -> response write); everything else
@@ -192,7 +179,6 @@ struct TensorOpServer::Impl {
       g(prefix + ".busy_seconds", d.busy_s);
     }
     g("ust.engine.steals", static_cast<double>(es.steals));
-    g("ust.engine.predicted_vs_actual_exec", static_cast<double>(es.sched_predictions));
     g("ust.server.sessions.open", static_cast<double>(sessions_gauge.load()));
     g("ust.server.sessions.accepted", static_cast<double>(sessions_accepted.load()));
     g("ust.server.requests", static_cast<double>(requests.load()));
@@ -208,14 +194,11 @@ struct TensorOpServer::Impl {
     g("ust.server.tensor_bytes", static_cast<double>(tensor_bytes_gauge.load()));
     g("ust.server.plans", static_cast<double>(plans_gauge.load()));
     g("ust.server.plan_bytes", static_cast<double>(plan_bytes_gauge.load()));
-    g("ust.server.coalesced_submits", static_cast<double>(coalesced.load()));
     // The engine's per-job exec-share latency histogram lives in its stats
     // snapshot, not this registry: render it alongside.
     return registry.render_prometheus() +
            obs::render_prometheus_histogram("ust.engine.exec_latency_us",
-                                            es.exec_latency_us) +
-           obs::render_prometheus_histogram("ust.engine.prediction_error_pct",
-                                            es.prediction_error_pct);
+                                            es.exec_latency_us);
   }
 
   // ---- plan quota ------------------------------------------------------
@@ -372,19 +355,20 @@ struct TensorOpServer::Impl {
     const std::size_t need = static_cast<std::size_t>(nnz) * per_nnz;
     if (r.remaining() != need) throw ProtocolError("tensor body size mismatch");
 
+    // The columns sit at arbitrary offsets in the frame payload, so no
+    // typed pointer may be bound over them: every element is copied out.
     CooTensor tensor(dims);
-    std::vector<std::span<const index_t>> cols;
-    cols.reserve(static_cast<std::size_t>(order));
-    for (int m = 0; m < order; ++m) {
-      const auto* p = r.bytes(static_cast<std::size_t>(nnz) * sizeof(index_t));
-      cols.emplace_back(reinterpret_cast<const index_t*>(p), nnz);
-    }
-    const auto* vals = reinterpret_cast<const value_t*>(
-        r.bytes(static_cast<std::size_t>(nnz) * sizeof(value_t)));
+    std::vector<const std::uint8_t*> cols(static_cast<std::size_t>(order));
+    for (auto& col : cols) col = r.bytes(static_cast<std::size_t>(nnz) * sizeof(index_t));
+    const std::uint8_t* vals = r.bytes(static_cast<std::size_t>(nnz) * sizeof(value_t));
     std::vector<index_t> idx(static_cast<std::size_t>(order));
-    for (std::uint64_t x = 0; x < nnz; ++x) {
-      for (int m = 0; m < order; ++m) idx[static_cast<std::size_t>(m)] = cols[static_cast<std::size_t>(m)][x];
-      tensor.push_back(idx, vals[x]);
+    for (std::size_t x = 0; x < nnz; ++x) {
+      for (std::size_t m = 0; m < cols.size(); ++m) {
+        std::memcpy(&idx[m], cols[m] + x * sizeof(index_t), sizeof(index_t));
+      }
+      value_t v;
+      std::memcpy(&v, vals + x * sizeof(value_t), sizeof(value_t));
+      tensor.push_back(idx, v);
     }
 
     Tenant& tenant = get_tenant(h.tenant);
@@ -493,72 +477,19 @@ struct TensorOpServer::Impl {
     req.out_rows = job.out.rows();
     req.out_cols = job.out.cols();
 
-    // Deferred: flush_submits() hands the whole tick's runs to the engine in
-    // plan order (QueueFull / ShuttingDown are answered there).
-    deferred.push_back(Deferred{std::move(job), std::move(req)});
-  }
-
-  /// Submits every run request parsed this tick. With coalescing on, the
-  /// batch is first sorted by cached-plan identity (stable: arrival order is
-  /// kept within a plan group) so the engine's worker can fuse same-plan
-  /// neighbours into one pass over the non-zeros.
-  void flush_submits() {
-    if (deferred.empty()) return;
-    if (opt.coalesce_submits && deferred.size() > 1) {
-      deferred.sort([](const Deferred& a, const Deferred& b) {
-        return a.job.plan->bundle.get() < b.job.plan->bundle.get();
-      });
-      // Count members of same-plan groups of >= 2: those are the submits the
-      // sort actually co-located for the engine's coalescing pop.
-      for (auto it = deferred.begin(); it != deferred.end();) {
-        auto run_end = std::next(it);
-        std::size_t len = 1;
-        while (run_end != deferred.end() &&
-               run_end->job.plan->bundle.get() == it->job.plan->bundle.get()) {
-          ++run_end;
-          ++len;
-        }
-        if (len >= 2) coalesced += len;
-        it = run_end;
-      }
+    // Moving job into `pending` keeps the matrices' heap buffers, which the
+    // request points into. Any other exception maps to its status in
+    // handle_frame.
+    try {
+      job.future = engine.submit(std::move(req), nullptr, engine::Admission::kReject);
+    } catch (const engine::QueueFull& e) {
+      respond_error(s, Status::kQueueFull, h.request_id, e.what());
+      return;
+    } catch (const engine::ShuttingDown& e) {
+      respond_error(s, Status::kShuttingDown, h.request_id, e.what());
+      return;
     }
-    for (auto& d : deferred) {
-      try {
-        d.job.future = engine.submit(std::move(d.req), nullptr, engine::Admission::kReject);
-      } catch (const engine::QueueFull& e) {
-        if (auto* s = find_session(d.job.fd)) {
-          respond_error(*s, Status::kQueueFull, d.job.request_id, e.what());
-        } else {
-          ++queue_full;
-        }
-        continue;
-      } catch (const engine::ShuttingDown& e) {
-        if (auto* s = find_session(d.job.fd)) {
-          respond_error(*s, Status::kShuttingDown, d.job.request_id, e.what());
-        }
-        continue;
-      } catch (const ContractViolation& e) {
-        // Bad shapes the parse layer could not see (engine-side request
-        // validation): a malformed request, not a server fault -- the same
-        // mapping the dispatch layer applies.
-        if (auto* s = find_session(d.job.fd)) {
-          respond_error(*s, Status::kBadRequest, d.job.request_id, e.what());
-        }
-        continue;
-      } catch (const core::InvalidOptions& e) {
-        if (auto* s = find_session(d.job.fd)) {
-          respond_error(*s, Status::kBadRequest, d.job.request_id, e.what());
-        }
-        continue;
-      } catch (const std::exception& e) {
-        if (auto* s = find_session(d.job.fd)) {
-          respond_error(*s, Status::kInternal, d.job.request_id, e.what());
-        }
-        continue;
-      }
-      pending.push_back(std::move(d.job));
-    }
-    deferred.clear();
+    pending.push_back(std::move(job));
   }
 
   /// kStats v2. The request body carries the version the client expects; a
@@ -590,7 +521,6 @@ struct TensorOpServer::Impl {
         {"engine.jobs_batched", es.jobs_batched},
         {"engine.batches_formed", es.batches_formed},
         {"engine.steals", es.steals},
-        {"engine.sched_predictions", es.sched_predictions},
         {"engine.cache_hits", es.cache_total.hits},
         {"engine.cache_misses", es.cache_total.misses},
         {"engine.cache_evictions", es.cache_total.evictions},
@@ -608,7 +538,6 @@ struct TensorOpServer::Impl {
         {"server.tensor_bytes", tensor_bytes_gauge.load()},
         {"server.plans", plans_gauge.load()},
         {"server.plan_bytes", plan_bytes_gauge.load()},
-        {"server.coalesced_submits", coalesced.load()},
     };
     w.u32(static_cast<std::uint32_t>(kv.size()));
     for (const auto& [k, v] : kv) {
@@ -806,7 +735,6 @@ struct TensorOpServer::Impl {
       }
       for (int fd : dead) close_session(fd);
 
-      flush_submits();
       harvest();
       // Responses enqueued by harvest() go out on the next poll tick's
       // POLLOUT -- except most sockets are writable now, so try eagerly.
@@ -835,8 +763,6 @@ struct TensorOpServer::Impl {
       ::close(listener);
       listener = -1;
     }
-    // Parsed-but-never-submitted runs hold no engine work; just drop them.
-    deferred.clear();
     // Drain abandoned jobs so their buffers outlive the engine work.
     for (auto& p : pending) {
       try {
@@ -908,7 +834,6 @@ ServerStats TensorOpServer::stats() const {
   s.tensor_bytes = im.tensor_bytes_gauge;
   s.plans = im.plans_gauge;
   s.plan_bytes = im.plan_bytes_gauge;
-  s.coalesced_submits = im.coalesced;
   return s;
 }
 

@@ -52,13 +52,6 @@ struct ServerOptions {
   /// poll() timeout while jobs are in flight / while idle.
   int poll_busy_ms = 1;
   int poll_idle_ms = 20;
-  /// Sort each poll tick's run submissions by cached-plan identity before
-  /// handing them to the engine, so same-plan requests (same tenant or not:
-  /// the engine plan cache keys on tensor *content*) land adjacent in a
-  /// worker queue and fuse into one batched pass (DESIGN.md §13). Off, each
-  /// run request is submitted in arrival order; batching then only happens
-  /// when the engine finds compatible jobs queued by chance.
-  bool coalesce_submits = true;
 };
 
 /// Monotone counters + gauges, readable from any thread.
@@ -78,9 +71,6 @@ struct ServerStats {
   std::uint64_t tensor_bytes = 0;  // gauge
   std::uint64_t plans = 0;         // gauge
   std::uint64_t plan_bytes = 0;    // gauge
-  /// Run requests submitted as part of a same-plan group of >= 2 within one
-  /// poll tick (each member counts; solo submissions count zero).
-  std::uint64_t coalesced_submits = 0;
 };
 
 class TensorOpServer {

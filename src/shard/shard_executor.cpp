@@ -63,10 +63,8 @@ std::shared_ptr<const pipeline::ChunkPlan> acquire_shard_plan(
   key.chunk_nnz = chunk_nnz;
   key.flavor = pipeline::PlanKey::kShardSlice;
   const auto bundle = cache.get_or_build(key, [&] {
-    Timer build_timer;
     pipeline::CachedPlan cached;
     cached.chunk = pipeline::build_chunk_plan(dev, host, part, shard, row_base);
-    cached.build_s = build_timer.seconds();
     return cached;
   });
   return bundle->chunk;

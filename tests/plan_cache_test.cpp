@@ -111,78 +111,6 @@ TEST(PlanCache, EvictsLeastRecentlyUsedOnByteBudget) {
   EXPECT_EQ(rebuilt, 1);
 }
 
-TEST(PlanCache, ContainsProbesWithoutRefreshingRecencyOrCounting) {
-  sim::Device dev;
-  const CooTensor t = io::generate_uniform({10, 12, 14}, 400, 9);
-  const std::uint64_t fp = coo_fingerprint(t);
-  const Partitioning pa{.threadlen = 8, .block_size = 64};
-  const Partitioning pb{.threadlen = 8, .block_size = 128};
-  const Partitioning pc{.threadlen = 8, .block_size = 256};
-  const std::size_t one = build_plan(dev, t, 0, pa).bytes();
-  PlanCache cache(2 * one);
-
-  (void)cache.put(key_for(dev, fp, 0, pa), build_plan(dev, t, 0, pa));
-  (void)cache.put(key_for(dev, fp, 0, pb), build_plan(dev, t, 0, pb));
-  EXPECT_TRUE(cache.contains(key_for(dev, fp, 0, pa)));
-  EXPECT_FALSE(cache.contains(key_for(dev, fp, 0, pc)));
-  // contains(pa) must NOT have refreshed pa: inserting pc still evicts pa
-  // (the true LRU), and the probe counted neither a hit nor a miss.
-  (void)cache.put(key_for(dev, fp, 0, pc), build_plan(dev, t, 0, pc));
-  EXPECT_FALSE(cache.contains(key_for(dev, fp, 0, pa)));
-  EXPECT_TRUE(cache.contains(key_for(dev, fp, 0, pb)));
-  const PlanCache::Stats s = cache.stats();
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 0u);
-}
-
-TEST(PlanCache, ReplicaFirstEvictsCheapestReplicaBeforePrimaries) {
-  sim::Device dev;
-  const CooTensor t = io::generate_uniform({10, 12, 14}, 400, 9);
-  const std::uint64_t fp = coo_fingerprint(t);
-  const Partitioning pa{.threadlen = 8, .block_size = 64};
-  const Partitioning pb{.threadlen = 8, .block_size = 128};
-  const Partitioning pc{.threadlen = 8, .block_size = 256};
-  const std::size_t one = build_plan(dev, t, 0, pa).bytes();
-  PlanCache cache(2 * one);
-  cache.set_eviction_policy(PlanCache::EvictionPolicy::kReplicaFirst);
-
-  // A primary inserted FIRST (the LRU-stalest entry) plus two replicas with
-  // recorded rebuild costs. Pressure must evict a replica -- the cheap one --
-  // and leave the stalest-but-primary entry resident.
-  const PlanKey primary = key_for(dev, fp, 0, pa);
-  PlanKey costly = key_for(dev, fp, 0, pb);
-  costly.flavor = PlanKey::kWholeReplica;
-  PlanKey cheap = key_for(dev, fp, 0, pc);
-  cheap.flavor = PlanKey::kWholeReplica;
-
-  (void)cache.put(primary, build_plan(dev, t, 0, pa));
-  CachedPlan costly_plan = build_plan(dev, t, 0, pb);
-  costly_plan.build_s = 5.0;
-  (void)cache.put(costly, std::move(costly_plan));
-  CachedPlan cheap_plan = build_plan(dev, t, 0, pc);
-  cheap_plan.build_s = 0.001;
-  (void)cache.put(cheap, std::move(cheap_plan));
-
-  EXPECT_TRUE(cache.contains(primary));
-  EXPECT_TRUE(cache.contains(costly));
-  EXPECT_FALSE(cache.contains(cheap));
-  EXPECT_EQ(cache.stats().evictions, 1u);
-
-  // Renewed pressure takes the remaining replica (despite its recency) ...
-  const Partitioning pd{.threadlen = 8, .block_size = 512};
-  const PlanKey pd_key = key_for(dev, fp, 0, pd);
-  (void)cache.put(pd_key, build_plan(dev, t, 0, pd));
-  EXPECT_FALSE(cache.contains(costly));
-  EXPECT_TRUE(cache.contains(primary));
-
-  // ... and with every replica gone the policy degrades to plain LRU: the
-  // next over-budget insertion evicts the primary (now the stalest entry).
-  const Partitioning pe{.threadlen = 8, .block_size = 1024};
-  (void)cache.put(key_for(dev, fp, 0, pe), build_plan(dev, t, 0, pe));
-  EXPECT_FALSE(cache.contains(primary));
-  EXPECT_TRUE(cache.contains(pd_key));
-}
-
 TEST(PlanCache, PutOnPresentKeyUpdatesInPlaceWithoutDuplicates) {
   // Regression: put() with an already-present key must REPLACE the entry --
   // one LRU node, bytes accounted exactly once -- instead of pushing a

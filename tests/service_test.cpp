@@ -544,8 +544,8 @@ TEST(Service, StatsRequestMergesEngineAndServerCounters) {
   const Response resp = c.stats();
   ASSERT_TRUE(resp.ok());
   std::uint64_t jobs = 0, tensors = 0, requests = 0, open = 0;
-  bool has_jobs_batched = false, has_batches_formed = false, has_coalesced = false;
-  std::uint64_t jobs_batched = 1, batches_formed = 1, coalesced = 1;
+  bool has_jobs_batched = false, has_batches_formed = false;
+  std::uint64_t jobs_batched = 1, batches_formed = 1;
   for (const auto& [key, value] : resp.stats()) {
     if (key == "engine.jobs_completed") jobs = value;
     if (key == "server.tensors") tensors = value;
@@ -553,7 +553,6 @@ TEST(Service, StatsRequestMergesEngineAndServerCounters) {
     if (key == "server.sessions_open") open = value;
     if (key == "engine.jobs_batched") has_jobs_batched = true, jobs_batched = value;
     if (key == "engine.batches_formed") has_batches_formed = true, batches_formed = value;
-    if (key == "server.coalesced_submits") has_coalesced = true, coalesced = value;
   }
   EXPECT_EQ(jobs, 1u);
   EXPECT_EQ(tensors, 1u);
@@ -563,10 +562,8 @@ TEST(Service, StatsRequestMergesEngineAndServerCounters) {
   // all of them at zero.
   EXPECT_TRUE(has_jobs_batched);
   EXPECT_TRUE(has_batches_formed);
-  EXPECT_TRUE(has_coalesced);
   EXPECT_EQ(jobs_batched, 0u);
   EXPECT_EQ(batches_formed, 0u);
-  EXPECT_EQ(coalesced, 0u);
   server.stop();
 }
 

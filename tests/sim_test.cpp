@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "sim/collectives.hpp"
 #include "sim/device.hpp"
@@ -272,20 +274,36 @@ TEST(Stream, PropagatesExceptionsOnSynchronize) {
 }
 
 TEST(Executor, OrderedDispatchSeesMonotoneBlockStarts) {
-  // Blocks must be *dispatched* in increasing linear order (the guarantee
-  // adjacent synchronisation needs): record the dispatch sequence and check
-  // that each block's predecessors have all started before it starts.
+  // launch promises that blocks are *claimed* in increasing linear order
+  // (the guarantee adjacent synchronisation needs), not that their bodies
+  // start in that order: a worker may claim block i-1 and be preempted
+  // before running it. Test the promise the way CarryChain uses it. Each
+  // block waits on block i-1's release flag before setting its own, so the
+  // chain completes only if no block is claimed ahead of its predecessor.
+  // The wait is bounded and yields, so a broken order fails instead of
+  // hanging.
   Device dev(tiny_props());
   const std::size_t blocks = 200;
-  std::atomic<std::size_t> started{0};
-  std::atomic<bool> bad{false};
+  std::vector<std::atomic<bool>> released(blocks);
+  for (auto& r : released) r.store(false);
+  std::atomic<bool> timed_out{false};
   LaunchConfig cfg{.grid = {static_cast<unsigned>(blocks), 1, 1}, .block_dim = 1};
   launch(dev, cfg, [&](BlockCtx& blk) {
-    const std::size_t count_before = started.fetch_add(1);
-    // When block i starts, at least i blocks (0..i-1) must have started.
-    if (count_before < blk.block_idx().x) bad = true;
+    const std::size_t i = blk.block_idx().x;
+    if (i > 0) {
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!released[i - 1].load(std::memory_order_acquire)) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          timed_out = true;
+          break;
+        }
+        std::this_thread::yield();
+      }
+    }
+    released[i].store(true, std::memory_order_release);
   });
-  EXPECT_FALSE(bad.load());
+  EXPECT_FALSE(timed_out.load());
+  for (std::size_t i = 0; i < blocks; ++i) EXPECT_TRUE(released[i].load()) << "block " << i;
 }
 
 }  // namespace

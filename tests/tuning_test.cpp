@@ -105,7 +105,9 @@ TEST(Tuning, RankBlockAxisSweepsNativeOnly) {
   // native x {0,16} rank blocks + sim pinned to rank_block 0 = 3 samples.
   EXPECT_EQ(r.samples.size(), 3u);
   for (const TuneSample& s : r.samples) {
-    if (s.backend == ExecBackend::kSim) EXPECT_EQ(s.rank_block, 0u);
+    if (s.backend == ExecBackend::kSim) {
+      EXPECT_EQ(s.rank_block, 0u);
+    }
   }
   EXPECT_EQ(r.best_backend, ExecBackend::kNative);
   EXPECT_EQ(r.best_rank_block, 16u);
