@@ -113,6 +113,11 @@ int main(int argc, char** argv) {
     }
     const double simd_speedup = uni_native_s > 0 ? scalar_s / uni_native_s : 0.0;
 
+    // Kernel-layer row (ROADMAP item 1): the native median per non-zero,
+    // and SPLATT over native (> 1 means the unified kernel is faster).
+    const double ns_per_nnz = uni_native_s * 1e9 / static_cast<double>(d.tensor.nnz());
+    const double native_vs_splatt = uni_native_s > 0 ? splatt_s / uni_native_s : 0.0;
+
     // Observability overhead (DESIGN.md §14): the identical native run timed
     // with the span tracer's runtime switch flipped on. Spans are per-pass /
     // per-chunk, never per-non-zero, so the ratio must stay under 1.05; with
@@ -163,10 +168,10 @@ int main(int argc, char** argv) {
     const double batch_speedup = fused_batch_s > 0 ? seq_batch_s / fused_batch_s : 0.0;
     std::printf(
         "  %s: simd %.2fx (scalar %.4fs vs %s %.4fs), batch(%d) %.2fx, "
-        "trace overhead %.3fx\n",
+        "trace overhead %.3fx, native %.2f ns/nnz, %.2fx vs SPLATT\n",
         d.name.c_str(), simd_speedup, scalar_s,
         core::simd::level_name(core::simd::active_level()), uni_native_s, kBatchN,
-        batch_speedup, obs_overhead);
+        batch_speedup, obs_overhead, ns_per_nnz, native_vs_splatt);
 
     t.add_row({d.name, Table::num(omp_s, 4), gpu_cell, Table::num(splatt_s, 4),
                Table::num(uni_s, 4), Table::num(uni_sim_s, 4), gpu_spd,
@@ -184,6 +189,8 @@ int main(int argc, char** argv) {
     json.add(d.name + ".simd_speedup", simd_speedup);
     json.add(d.name + ".batch_speedup", batch_speedup);
     json.add(d.name + ".obs_overhead", obs_overhead);
+    json.add(d.name + ".ns_per_nnz", ns_per_nnz);
+    json.add(d.name + ".native_vs_splatt", native_vs_splatt);
     if (datasets.size() == 1) {
       // Single-dataset runs (the CI bench-smoke) also emit unprefixed keys
       // so threshold checks need not know the dataset name.

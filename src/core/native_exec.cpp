@@ -1,6 +1,18 @@
 #include "core/native_exec.hpp"
 
+#include <memory>
+
 namespace ust::core::native {
+
+WorkerTiles::WorkerTiles(unsigned workers, std::size_t width)
+    : stride_(round_up(width, kCacheLineBytes / sizeof(float))),
+      storage_(workers * stride_ + kCacheLineBytes / sizeof(float) - 1) {
+  void* p = storage_.data();
+  std::size_t space = storage_.size() * sizeof(float);
+  base_ = static_cast<float*>(
+      std::align(kCacheLineBytes, workers * stride_ * sizeof(float), p, space));
+  UST_ENSURES(base_ != nullptr);
+}
 
 std::vector<Chunk> make_chunks(nnz_t nnz, unsigned threadlen, unsigned workers,
                                nnz_t max_chunk_nnz) {

@@ -11,10 +11,14 @@
 //
 //   * each worker owns a chunk of non-zeros aligned to threadlen partition
 //     boundaries (so `thread_first_seg` gives its starting segment id),
-//   * the per-non-zero product is a SIMD mul-then-add over *contiguous*
-//     per-chunk accumulator tiles (core/simd.hpp; the rank dimension is the
+//   * the per-non-zero product is a SIMD mul-then-add into the worker's
+//     *private* accumulator tile (core/simd.hpp; the rank dimension is the
 //     vector axis) -- factor-row base pointers are hoisted once per non-zero
-//     by the op-specific Expr (see `accumulate`),
+//     by the op-specific Expr (see `accumulate`). As in the paper's kernel,
+//     where each GPU thread sums its run privately and shares only segment
+//     boundaries, a tile starts on a cache line and is padded to whole lines
+//     (WorkerTiles), so two workers never write the same line; the chunk's
+//     trailing partial is copied out once, when the chunk ends,
 //   * segments fully contained in a chunk are committed with plain stores
 //     (seg_row is injective: one segment per output row, as the sim kernel's
 //     conflict-free interior writes already assume),
@@ -110,14 +114,40 @@ struct ChunkState {
   std::uint8_t tail_committed = 0;    // trailing run already written in phase 1
 };
 
+/// Bytes per cache line: the unit worker tiles are aligned and padded to.
+constexpr std::size_t kCacheLineBytes = 64;
+
+/// Private phase-1 accumulator tiles, one per pool worker rank (rank <
+/// pool.size() + 1). Each tile holds `width` floats, starts on a cache-line
+/// boundary and is padded to whole lines, so workers accumulating at the same
+/// time never write the same line: a narrow tile (32 bytes at rank 8) shared
+/// with a neighbour would cost a coherence miss on every non-zero.
+class WorkerTiles {
+ public:
+  WorkerTiles(unsigned workers, std::size_t width);
+  // base_ points into storage_, so a copy would alias the original's tiles.
+  WorkerTiles(const WorkerTiles&) = delete;
+  WorkerTiles& operator=(const WorkerTiles&) = delete;
+
+  /// Floats from one tile to the next: `width` rounded up to whole lines.
+  std::size_t stride() const noexcept { return stride_; }
+  float* tile(unsigned worker) noexcept { return base_ + worker * stride_; }
+
+ private:
+  std::size_t stride_;
+  std::vector<float> storage_;  // over-allocated by up to one line for alignment
+  float* base_;
+};
+
 /// Phase 1 worker body: walks one chunk once per rank-block pass, committing
 /// interior segments directly and leaving boundary partials in `acc`
 /// (trailing run) and `head_partial` (leading run continuing the previous
-/// chunk). `acc` and `head_partial` are this chunk's contiguous tiles of
-/// `total_cols` floats (the concatenated width of all batched requests);
-/// block b of the batch lives at tile offset b.acc_off. The multi-pass walk
-/// re-reads flags and values identically per pass, so every column -- and the
-/// ChunkState -- is exactly what a solo single-pass run would produce.
+/// chunk). `acc` is the worker's private tile and `head_partial` the chunk's
+/// packed slot, each `total_cols` floats (the concatenated width of all
+/// batched requests); block b of the batch lives at tile offset b.acc_off.
+/// The multi-pass walk re-reads flags and values identically per pass, so
+/// every column -- and the ChunkState -- is exactly what a solo single-pass
+/// run would produce.
 template <class Expr>
 inline void run_chunk(const FcooView& f, std::span<const OutView> outs,
                       std::span<const Expr> exprs, std::span<const ColBlock> blocks,
@@ -199,23 +229,9 @@ inline void run_chunk(const FcooView& f, std::span<const OutView> outs,
       }
       st.tail_committed = 1;
     }
-    // Otherwise this pass's slices of `acc` (the chunk's tails tile) carry
-    // the open partial into the serial boundary pass.
+    // Otherwise this pass's slices of `acc` carry the open partial into the
+    // serial boundary pass (run_phase1 copies them to the chunk's tails slot).
   }
-}
-
-/// Single-request convenience overload: one full-width block, one pass --
-/// byte-for-byte the pre-blocking walk.
-template <class Expr>
-inline void run_chunk(const FcooView& f, const OutView& out, const Expr& expr,
-                      Chunk ch, float* UST_RESTRICT acc,
-                      float* UST_RESTRICT head_partial, ChunkState& st) {
-  const ColBlock block{0, 0, static_cast<index_t>(out.num_cols), 0};
-  const std::size_t pass_off[2] = {0, 1};
-  run_chunk<Expr>(f, std::span<const OutView>(&out, 1), std::span<const Expr>(&expr, 1),
-                  std::span<const ColBlock>(&block, 1),
-                  std::span<const std::size_t>(pass_off, 2), out.num_cols, ch, acc,
-                  head_partial, st);
 }
 
 /// Phase 2: the serial left-to-right carry fold over per-chunk boundary
@@ -275,6 +291,36 @@ inline void fold_boundaries(const index_t* seg_row, std::span<const ChunkState> 
                   carry);
 }
 
+/// Phase 1 for every native caller -- execute_batched, the
+/// streaming executor's chunks and the sharded executor's shard plans: runs
+/// `chunks` over `pool`, each worker accumulating in its own WorkerTiles tile
+/// and copying a chunk's trailing partial into the chunk's packed `tails`
+/// slot when the chunk ends. `tails` and `head_partials` (`total_cols` floats
+/// per chunk) and `states` are indexed by position in `chunks`, which is how
+/// fold_boundaries reads them. Emits one `native.chunk` span per chunk under
+/// the calling thread's trace id (pool workers have no trace context).
+template <class Expr>
+void run_phase1(ThreadPool& pool, const FcooView& f, std::span<const OutView> outs,
+                std::span<const Expr> exprs, std::span<const ColBlock> blocks,
+                std::span<const std::size_t> pass_off, std::size_t total_cols,
+                std::span<const Chunk> chunks, float* UST_RESTRICT tails,
+                float* UST_RESTRICT head_partials, ChunkState* states) {
+  WorkerTiles tiles(pool.size() + 1, total_cols);
+  const std::uint64_t obs_id = obs::current_trace_id();
+  pool.parallel_ranges(
+      chunks.size(), /*grain=*/1, [&](unsigned worker, std::size_t begin, std::size_t end) {
+        float* acc = tiles.tile(worker);
+        for (std::size_t k = begin; k < end; ++k) {
+          obs::Span obs_chunk("native.chunk", obs_id);
+          obs_chunk.arg("nnz", static_cast<std::uint64_t>(chunks[k].hi - chunks[k].lo))
+              .arg("chunk", k);
+          run_chunk<Expr>(f, outs, exprs, blocks, pass_off, total_cols, chunks[k], acc,
+                          head_partials + k * total_cols, states[k]);
+          std::copy_n(acc, total_cols, tails + k * total_cols);
+        }
+      });
+}
+
 /// Executes a batch of N same-plan requests natively over `device`'s worker
 /// pool in one pass over the nnz stream per rank block: `outs[i]` /
 /// `exprs[i]` are request i's output and expression (all over the same
@@ -282,7 +328,7 @@ inline void fold_boundaries(const index_t* seg_row, std::span<const ChunkState> 
 /// path. Each request's result is bitwise identical to running it alone --
 /// per-request tiles are disjoint and the boundary fold treats them
 /// independently -- which is the invariant Engine::run_batched and the
-/// coalescing submit queue rely on.
+/// device worker's queue drain rely on.
 template <class Expr>
 void execute_batched(sim::Device& device, const FcooView& f, std::span<const OutView> outs,
                      std::span<const Expr> exprs, nnz_t max_chunk_nnz = 0,
@@ -308,41 +354,25 @@ void execute_batched(sim::Device& device, const FcooView& f, std::span<const Out
   // across backends; blocks_executed counts worker chunks.
   device.note_kernel_launch(chunks.size());
 
-  // Kernel profiling hooks (DESIGN.md §14): one span per pass plus one per
-  // worker chunk -- never per non-zero. Pool workers have no thread-local
-  // trace context, so the caller's id is captured here and pinned per span.
+  // Kernel profiling hooks (DESIGN.md §14): one span per pass, plus
+  // run_phase1's one per worker chunk -- never per non-zero.
   obs::Span obs_pass("native.execute");
   obs_pass.arg("nnz", static_cast<std::uint64_t>(f.nnz))
       .arg("simd", static_cast<std::uint64_t>(simd::active_level()));
-  const std::uint64_t obs_id = obs::current_trace_id();
 
-  // Contiguous per-chunk accumulator tiles: tails doubles as the running
-  // accumulator during phase 1 and holds the trailing open partials after.
+  // ---- Phase 1 (parallel): one tight loop per chunk per pass -------------
   std::vector<float> tails(chunks.size() * total_cols);
   std::vector<float> head_partials(chunks.size() * total_cols);
   std::vector<ChunkState> states(chunks.size());
-
-  // ---- Phase 1 (parallel): one tight loop per chunk per pass -------------
-  pool.parallel_ranges(chunks.size(), /*grain=*/1,
-                       [&](unsigned /*worker*/, std::size_t begin, std::size_t end) {
-                         for (std::size_t k = begin; k < end; ++k) {
-                           obs::Span obs_chunk("native.chunk", obs_id);
-                           obs_chunk
-                               .arg("nnz", static_cast<std::uint64_t>(chunks[k].hi -
-                                                                      chunks[k].lo))
-                               .arg("chunk", k);
-                           run_chunk<Expr>(f, outs, exprs, blocks, pass_off, total_cols,
-                                           chunks[k], &tails[k * total_cols],
-                                           &head_partials[k * total_cols], states[k]);
-                         }
-                       });
+  run_phase1<Expr>(pool, f, outs, exprs, blocks, pass_off, total_cols, chunks, tails.data(),
+                   head_partials.data(), states.data());
 
   // ---- Phase 2 (serial): carry handoff across chunk boundaries -----------
   // Walks chunks left to right with one running carry tile; each boundary
   // segment receives exactly one closing write (the kAdjacentSync ownership
   // rule), so no atomics are needed here either.
   std::vector<float> carry(total_cols, 0.0f);
-  obs::Span obs_fold("native.fold", obs_id);
+  obs::Span obs_fold("native.fold");
   obs_fold.arg("chunks", chunks.size());
   fold_boundaries(f.seg_row, states, tails.data(), head_partials.data(), total_cols, outs,
                   blocks, carry.data());

@@ -7,11 +7,11 @@
 //                     and uploads them into fresh device buffers (the plan
 //                     build), publishing finished ChunkPlans into a bounded
 //                     queue of max_in_flight entries;
-//   consumer (caller): pops plans in order, runs the native phase-1 worker
-//                     loops over the chunk, then folds the chunk's boundary
-//                     partials into the global carry (the same serial
-//                     left-to-right handoff single-shot native uses) and
-//                     releases the chunk's device memory.
+//   consumer (caller): pops plans in order, runs the native phase-1
+//                     loop (native::run_phase1) over the chunk, then folds
+//                     the chunk's boundary partials into the global carry
+//                     (the same serial left-to-right handoff single-shot
+//                     native uses) and releases the chunk's device memory.
 //
 // Because stream chunks are whole runs of the native worker grid (see
 // chunker.hpp) and the carry handoff is the identical left-to-right fold,
@@ -178,18 +178,12 @@ void stream_execute(sim::Device& device, const HostFcoo& host, const Partitionin
 
     const core::FcooView f = plan->view();
     const auto expr = make_expr(*plan);
-    const std::span<const decltype(expr)> exprs(&expr, 1);
 
-    // Phase 1 (parallel): identical worker loops over identical non-zero
-    // ranges as a single-shot run -- only the backing buffers differ.
-    pool.parallel_ranges(workers.size(), /*grain=*/1,
-                         [&](unsigned /*worker*/, std::size_t begin, std::size_t end) {
-                           for (std::size_t k = begin; k < end; ++k) {
-                             core::native::run_chunk(f, outs, exprs, blocks, pass_off,
-                                                     cols, workers[k], &tails[k * cols],
-                                                     &head_partials[k * cols], states[k]);
-                           }
-                         });
+    // Phase 1 (parallel): the single-shot run_phase1 over identical
+    // non-zero ranges -- only the backing buffers differ.
+    core::native::run_phase1(pool, f, outs, std::span<const decltype(expr)>(&expr, 1), blocks,
+                             pass_off, cols, workers, tails.data(), head_partials.data(),
+                             states.data());
 
     // Phase 2 (serial): fold this chunk's boundary partials into the global
     // carry, left to right -- the single-shot handoff (the SAME

@@ -1,9 +1,9 @@
 // Multi-device sharded executor (DESIGN.md §10). Splits one unified
 // operation across a group of simulated devices: the sharder assigns each
 // device a contiguous run of the single-device worker grid, each device runs
-// the native phase-1 worker loops over its own sliced plan (and its own
-// worker pool) into its own output buffer, and the merge replays the
-// single-device reduction exactly:
+// the native phase-1 loop (native::run_phase1) over its own sliced plan
+// (and its own worker pool) into its own output buffer, and the merge
+// replays the single-device reduction exactly:
 //
 //   1. per-device outputs are summed into the final buffer -- interior
 //      segments are committed by exactly one device (seg_row is injective and
@@ -200,24 +200,17 @@ void execute(DeviceGroup& group, const pipeline::HostFcoo& host, const Partition
       // One launch per shard plan; blocks_executed counts worker chunks, so
       // group-wide totals match a single-device run.
       sdev.note_kernel_launch(plan.spec.workers.size());
-      const core::FcooView f = plan.view();
       const auto expr = make_expr(sdev, d, plan);
-      const std::span<const decltype(expr)> exprs(&expr, 1);
-      const std::span<const core::OutView> louts(&lout, 1);
       const std::vector<core::native::Chunk>& workers = plan.spec.workers;
       // This plan's worker chunks are consecutive in the global grid
       // starting at grid_offset; write boundary tiles straight into the
       // global slots.
       const std::size_t base = grid_offset;
-      sdev.pool().parallel_ranges(
-          workers.size(), /*grain=*/1,
-          [&](unsigned /*worker*/, std::size_t begin, std::size_t end) {
-            for (std::size_t k = begin; k < end; ++k) {
-              core::native::run_chunk(f, louts, exprs, blocks, pass_off, cols, workers[k],
-                                      &tails[(base + k) * cols],
-                                      &heads[(base + k) * cols], states[base + k]);
-            }
-          });
+      const std::span<const core::OutView> louts(&lout, 1);
+      core::native::run_phase1(sdev.pool(), plan.view(), louts,
+                               std::span<const decltype(expr)>(&expr, 1), blocks, pass_off,
+                               cols, workers, &tails[base * cols], &heads[base * cols],
+                               &states[base]);
       // Rebase the chunk-local segment ids to global for the final fold.
       const index_t seg_base = static_cast<index_t>(plan.spec.first_seg);
       for (std::size_t k = 0; k < workers.size(); ++k) {

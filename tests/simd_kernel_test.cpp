@@ -7,6 +7,8 @@
 // tolerance: vector lanes never interact and no FMA contraction is allowed.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/native_exec.hpp"
@@ -182,6 +184,32 @@ TEST(SimdKernel, MakeColBlocksTilesWidthsAndPacksPasses) {
   ASSERT_EQ(b0.size(), 1u);
   EXPECT_EQ(b0[0].req, 1u);
   EXPECT_EQ(b0[0].acc_off, 0u);
+}
+
+TEST(SimdKernel, WorkerTilesNeverShareACacheLine) {
+  // The native phase-1 speed rests on this layout: a worker's accumulator
+  // tile starts on a cache line and no other worker's tile touches any of
+  // its lines (packed tiles of a narrow rank put two workers on one line).
+  constexpr std::uintptr_t kLine = native::kCacheLineBytes;
+  for (std::size_t width : {1, 7, 8, 15, 16, 17, 40, 512}) {
+    for (unsigned workers = 1; workers <= 5; ++workers) {
+      native::WorkerTiles tiles(workers, width);
+      EXPECT_GE(tiles.stride(), width);
+      std::vector<std::pair<std::uintptr_t, std::uintptr_t>> lines;  // [first, last]
+      for (unsigned w = 0; w < workers; ++w) {
+        const auto lo = reinterpret_cast<std::uintptr_t>(tiles.tile(w));
+        const std::uintptr_t hi = lo + width * sizeof(float) - 1;
+        EXPECT_EQ(lo % kLine, 0u) << "width " << width << " worker " << w;
+        lines.emplace_back(lo / kLine, hi / kLine);
+      }
+      for (unsigned a = 0; a < workers; ++a) {
+        for (unsigned b = a + 1; b < workers; ++b) {
+          EXPECT_TRUE(lines[a].second < lines[b].first || lines[b].second < lines[a].first)
+              << "width " << width << " workers " << a << " and " << b;
+        }
+      }
+    }
+  }
 }
 
 /// Runs each op forced-scalar and at the dispatched level on the same grid
