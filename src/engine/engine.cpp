@@ -768,7 +768,8 @@ void Engine::enqueue_locked(unsigned d, Job&& job) {
   rt.queue.push_back(std::move(job));
 }
 
-std::future<void> Engine::submit(OpRequest req, JobRecord* record, Admission admission) {
+std::future<void> Engine::submit(OpRequest req, JobRecord* record, Admission admission,
+                                 std::function<void()> on_done) {
   validate_request(req);
   const OpPlan& p = *req.plan;
   core::validate(p.part, req.options, p.stream);
@@ -804,6 +805,7 @@ std::future<void> Engine::submit(OpRequest req, JobRecord* record, Admission adm
     Job job;
     job.req = std::move(req);
     job.record = record;
+    job.on_done = std::move(on_done);
     job.seq = seq_next_++;
     job.t_submit_ns = steady_ns();
     if (obs::tracing_enabled()) job.t_enqueue_ns = obs::now_ns();
@@ -1034,6 +1036,10 @@ void Engine::worker_loop(unsigned d, DeviceRt* rt) {
         job.record->wait_s =
             static_cast<double>(t_dequeue_ns - job.t_submit_ns) * 1e-9;
       }
+      // The ONE completion call site: every admitted job resolves here, and
+      // ~Engine lets workers drain their queues first. The callback runs
+      // before the promise resolves, so a ready future implies it returned.
+      if (job.on_done) job.on_done();
       if (err) {
         job.done.set_exception(err);
       } else {

@@ -46,6 +46,7 @@
 
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -338,8 +339,16 @@ class Engine {
   /// needed, queues on device 0, and at dequeue reserves devices 0..n-1:
   /// work queued before it drains first, work queued after waits; execution
   /// is the same multi-device path run() uses.
+  ///
+  /// `on_done`, when set, runs exactly once per admitted job on the worker
+  /// thread, after `record` is filled and just BEFORE the future resolves --
+  /// for ok, failed, fused, stolen, sharded and drained-at-shutdown jobs
+  /// alike -- so a ready future implies the callback has returned. It must
+  /// not block and must not throw. A submit that throws admits no job and
+  /// never runs it. The service uses it to wake its I/O loop (DESIGN.md §12).
   std::future<void> submit(OpRequest req, JobRecord* record = nullptr,
-                           Admission admission = Admission::kBlock);
+                           Admission admission = Admission::kBlock,
+                           std::function<void()> on_done = {});
 
   /// Quota hook (the service's per-tenant plan budgets, DESIGN.md §12):
   /// drops every cache entry the engine holds for `plan` -- the primary
@@ -367,6 +376,7 @@ class Engine {
     OpRequest req;
     std::promise<void> done;
     JobRecord* record = nullptr;
+    std::function<void()> on_done;  // submit()'s completion callback
     std::uint64_t t_enqueue_ns = 0;  // obs: queue-wait span start
     /// Monotone admission sequence (state_mutex_): total order over
     /// submissions, the "older than the reservation" test for sharded

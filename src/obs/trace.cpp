@@ -74,15 +74,16 @@ void record(const char* name, std::uint64_t trace_id, std::uint64_t t0, std::uin
   Slot& s = r.slots[n % r.capacity];
   const std::uint32_t q = s.seq.load(std::memory_order_relaxed);
   s.seq.store(q + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  s.name.store(name, std::memory_order_relaxed);
-  s.trace_id.store(trace_id, std::memory_order_relaxed);
-  s.t0.store(t0, std::memory_order_relaxed);
-  s.t1.store(t1, std::memory_order_relaxed);
-  s.k0.store(k0, std::memory_order_relaxed);
-  s.k1.store(k1, std::memory_order_relaxed);
-  s.v0.store(v0, std::memory_order_relaxed);
-  s.v1.store(v1, std::memory_order_relaxed);
+  // Release payload stores: a reader that sees any of them also sees the
+  // odd sequence word stored before it (see the protocol in trace.hpp).
+  s.name.store(name, std::memory_order_release);
+  s.trace_id.store(trace_id, std::memory_order_release);
+  s.t0.store(t0, std::memory_order_release);
+  s.t1.store(t1, std::memory_order_release);
+  s.k0.store(k0, std::memory_order_release);
+  s.k1.store(k1, std::memory_order_release);
+  s.v0.store(v0, std::memory_order_release);
+  s.v1.store(v1, std::memory_order_release);
   s.seq.store(q + 2, std::memory_order_release);
   r.next.store(n + 1, std::memory_order_release);
 }
@@ -101,16 +102,16 @@ struct Event {
 bool read_slot(const Slot& s, int tid, Event& out) noexcept {
   const std::uint32_t s1 = s.seq.load(std::memory_order_acquire);
   if (s1 == 0 || (s1 & 1u) != 0) return false;
-  out.name = s.name.load(std::memory_order_relaxed);
-  out.trace_id = s.trace_id.load(std::memory_order_relaxed);
-  out.t0 = s.t0.load(std::memory_order_relaxed);
-  out.t1 = s.t1.load(std::memory_order_relaxed);
-  out.k0 = s.k0.load(std::memory_order_relaxed);
-  out.k1 = s.k1.load(std::memory_order_relaxed);
-  out.v0 = s.v0.load(std::memory_order_relaxed);
-  out.v1 = s.v1.load(std::memory_order_relaxed);
+  // Acquire payload loads keep the re-check below after them.
+  out.name = s.name.load(std::memory_order_acquire);
+  out.trace_id = s.trace_id.load(std::memory_order_acquire);
+  out.t0 = s.t0.load(std::memory_order_acquire);
+  out.t1 = s.t1.load(std::memory_order_acquire);
+  out.k0 = s.k0.load(std::memory_order_acquire);
+  out.k1 = s.k1.load(std::memory_order_acquire);
+  out.v0 = s.v0.load(std::memory_order_acquire);
+  out.v1 = s.v1.load(std::memory_order_acquire);
   out.tid = tid;
-  std::atomic_thread_fence(std::memory_order_acquire);
   if (s.seq.load(std::memory_order_relaxed) != s1) return false;
   return out.name != nullptr;
 }

@@ -6,15 +6,18 @@
 //
 // Concurrency model: each ring has exactly ONE writer (its owning thread) and
 // any number of readers. Every slot carries a seqlock sequence word plus an
-// all-atomic payload:
-//   writer: seq.store(s+1, relaxed); fence(release); relaxed payload stores;
+// all-atomic payload, in the fence-free form of Boehm, "Can seqlocks get
+// along with programming language memory models?" (MSPC 2012):
+//   writer: seq.store(s+1, relaxed); release payload stores;
 //           seq.store(s+2, release)
-//   reader: s1 = seq.load(acquire); if (s1 & 1) skip; relaxed payload loads;
-//           fence(acquire); accept iff seq.load(relaxed) == s1
-// The release fence orders the payload after the odd store and the paired
-// acquire fence orders the re-check after the payload loads, so a reader
-// never accepts a torn event; because every payload field is itself a
-// std::atomic the scheme is also TSan-clean (no non-atomic access races).
+//   reader: s1 = seq.load(acquire); if (s1 & 1) skip; acquire payload loads;
+//           accept iff seq.load(relaxed) == s1
+// A reader that loads any payload value of a newer write synchronises with
+// that release store, so it also sees the writer's odd sequence word and
+// its re-check fails; the acquire loads keep the re-check after the payload
+// loads. A reader therefore never accepts a torn event. No fences are used,
+// so ThreadSanitizer models every ordering it relies on, and on x86 the
+// release stores and acquire loads are the same plain moves as relaxed ones.
 // Writers never take a lock and never wait: a full ring overwrites its
 // oldest slot and counts the loss (TraceStats::dropped).
 //

@@ -5,14 +5,17 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <list>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <system_error>
 #include <tuple>
@@ -76,12 +79,15 @@ struct TensorOpServer::Impl {
   };
   std::unordered_map<int, Session> sessions;  // keyed by fd
 
-  /// One submitted job awaiting its future. The matrices anchor every
-  /// pointer the OpRequest handed to the engine, so a Pending must outlive
-  /// its job even when the response was abandoned (timeout / dead session).
+  /// One submitted job. The matrices anchor every pointer the OpRequest
+  /// handed to the engine, so a Pending must outlive its job even when the
+  /// response was abandoned (timeout / dead session): once its job is
+  /// admitted, an entry leaves `pending` only through harvest() or the
+  /// shutdown drain.
   struct Pending {
     int fd = -1;
     std::uint64_t request_id = 0;
+    std::uint64_t trace_id = 0;
     std::future<void> future;
     std::vector<DenseMatrix> inputs;
     DenseMatrix out;
@@ -91,6 +97,20 @@ struct TensorOpServer::Impl {
     bool abandoned = false;
   };
   std::list<Pending> pending;
+
+  /// Job completion as a loop event. The engine runs complete() on its
+  /// worker just before the job's future resolves; it appends the entry to
+  /// `done` and writes `wake_fd`, an eventfd in the poll set, and harvest()
+  /// then answers exactly the jobs in `done`. A std::list iterator stays
+  /// valid while other entries come and go, and the worker only copies it.
+  struct Completion {
+    std::list<Pending>::iterator job;
+    std::uint64_t t_ns = 0;  // obs::now_ns() at the callback; 0 untraced
+  };
+  std::mutex done_mutex;
+  std::vector<Completion> done;        // guarded by done_mutex
+  std::vector<Completion> harvesting;  // I/O thread only: harvest()'s batch
+  int wake_fd = -1;
 
   struct PlanSlot {
     std::uint64_t tensor = 0;
@@ -454,6 +474,7 @@ struct TensorOpServer::Impl {
     Pending job;
     job.fd = s.fd;
     job.request_id = h.request_id;
+    job.trace_id = trace_id_for(h);
     job.t_arrive = Clock::now();
     job.inputs = std::move(inputs);
     job.out = DenseMatrix(plan->out_rows(),
@@ -464,7 +485,7 @@ struct TensorOpServer::Impl {
     }
 
     engine::OpRequest req;
-    req.trace_id = trace_id_for(h);
+    req.trace_id = job.trace_id;
     req.service_class = h.service_class == WireClass::kLatency
                             ? engine::OpRequest::ServiceClass::kLatency
                             : engine::OpRequest::ServiceClass::kBatch;
@@ -478,18 +499,23 @@ struct TensorOpServer::Impl {
     req.out_cols = job.out.cols();
 
     // Moving job into `pending` keeps the matrices' heap buffers, which the
-    // request points into. Any other exception maps to its status in
-    // handle_frame.
+    // request points into. The entry goes in before submit so the completion
+    // callback can name it, and comes out again if submit admits no job. Any
+    // other exception maps to its status in handle_frame.
+    const auto it = pending.insert(pending.end(), std::move(job));
     try {
-      job.future = engine.submit(std::move(req), nullptr, engine::Admission::kReject);
+      it->future = engine.submit(std::move(req), nullptr, engine::Admission::kReject,
+                                 [this, it] { complete(it); });
     } catch (const engine::QueueFull& e) {
+      pending.erase(it);
       respond_error(s, Status::kQueueFull, h.request_id, e.what());
-      return;
     } catch (const engine::ShuttingDown& e) {
+      pending.erase(it);
       respond_error(s, Status::kShuttingDown, h.request_id, e.what());
-      return;
+    } catch (...) {
+      pending.erase(it);
+      throw;
     }
-    pending.push_back(std::move(job));
   }
 
   /// kStats v2. The request body carries the version the client expects; a
@@ -581,36 +607,50 @@ struct TensorOpServer::Impl {
 
   // ---- completion harvesting -------------------------------------------
 
+  /// The completion callback (engine worker thread). Must not block or
+  /// throw: it takes only done_mutex, which the I/O thread holds just long
+  /// enough to swap the list out.
+  void complete(std::list<Pending>::iterator job) noexcept {
+    const std::uint64_t t_ns = obs::tracing_enabled() ? obs::now_ns() : 0;
+    {
+      std::lock_guard lock(done_mutex);
+      done.push_back({job, t_ns});
+    }
+    wake();
+  }
+
+  void wake() noexcept {
+    const std::uint64_t one = 1;
+    // Fails only if the counter would overflow; harvest() drains it.
+    [[maybe_unused]] const ssize_t n = ::write(wake_fd, &one, sizeof(one));
+  }
+
+  /// Answers every job whose completion callback has run. The eventfd is
+  /// drained BEFORE the list is swapped out, so a completion that lands
+  /// after the swap has written it again and wakes the next poll().
   void harvest() {
+    std::uint64_t wakeups = 0;
+    [[maybe_unused]] const ssize_t n = ::read(wake_fd, &wakeups, sizeof(wakeups));
+    {
+      std::lock_guard lock(done_mutex);
+      harvesting.swap(done);
+    }
     const auto now = Clock::now();
-    for (auto it = pending.begin(); it != pending.end();) {
-      const bool ready =
-          it->future.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
-      if (!ready) {
-        if (!it->abandoned && it->deadline && now >= *it->deadline) {
-          // Missed deadline: answer now, keep holding the buffers until the
-          // engine job drains (it cannot be preempted mid-kernel).
-          if (auto* s = find_session(it->fd)) {
-            respond_error(*s, Status::kTimeout, it->request_id, "deadline exceeded");
-          } else {
-            ++timeouts;
-          }
-          it->abandoned = true;
-        }
-        ++it;
-        continue;
-      }
-      if (it->abandoned || find_session(it->fd) == nullptr) {
+    // Each callback ran just before its promise resolved, so get() below
+    // returns at once (at most it waits out that gap).
+    for (const Completion& c : harvesting) {
+      const auto it = c.job;
+      Session* s = it->abandoned ? nullptr : find_session(it->fd);
+      if (s == nullptr) {
         // Response already sent (timeout) or the session is gone: just let
         // the buffers go.
         try {
           it->future.get();
         } catch (...) {
         }
-        it = pending.erase(it);
+        pending.erase(it);
         continue;
       }
-      Session& s = *find_session(it->fd);
       try {
         it->future.get();
         Writer w;
@@ -618,16 +658,49 @@ struct TensorOpServer::Impl {
         w.u32(it->out.rows());
         w.u32(it->out.cols());
         w.bytes(it->out.data(), it->out.byte_size());
-        enqueue(s, w);
+        enqueue(*s, w);
       } catch (const std::exception& e) {
-        respond_error(s, Status::kInternal, it->request_id, e.what());
+        respond_error(*s, Status::kInternal, it->request_id, e.what());
       }
       // End-to-end run-op latency (parse -> response enqueued), answered or
       // failed alike; only the single I/O thread records here.
       registry.histogram("ust.server.request_latency_us")
           .record(std::chrono::duration<double, std::micro>(now - it->t_arrive).count());
-      it = pending.erase(it);
+      // Completion callback -> response enqueued: the wakeup's own cost.
+      if (c.t_ns != 0) {
+        obs::emit_span("service.harvest", it->trace_id, c.t_ns, "req", it->request_id);
+      }
+      pending.erase(it);
     }
+    harvesting.clear();
+  }
+
+  /// Answers kTimeout for every unanswered job past its deadline. The job
+  /// runs on (kernels cannot be preempted), so its entry keeps the buffers
+  /// until its completion reaches harvest(). Returns the poll() timeout in
+  /// ms until the nearest remaining deadline, or -1 when there is none.
+  /// `pending` is bounded by the engine's queue cap plus in-flight jobs, so
+  /// a scan is cheap.
+  int expire_deadlines() {
+    const auto now = Clock::now();
+    std::optional<Clock::time_point> next;
+    for (Pending& p : pending) {
+      if (p.abandoned || !p.deadline) continue;
+      if (now < *p.deadline) {
+        if (!next || *p.deadline < *next) next = p.deadline;
+        continue;
+      }
+      if (auto* s = find_session(p.fd)) {
+        respond_error(*s, Status::kTimeout, p.request_id, "deadline exceeded");
+      } else {
+        ++timeouts;
+      }
+      p.abandoned = true;
+    }
+    if (!next) return -1;
+    // Round up: a timeout short of the deadline would spin until it passes.
+    const auto ms = std::chrono::ceil<std::chrono::milliseconds>(*next - now).count();
+    return static_cast<int>(std::min<decltype(ms)>(ms, INT_MAX));
   }
 
   // ---- socket plumbing -------------------------------------------------
@@ -703,20 +776,21 @@ struct TensorOpServer::Impl {
   void loop() {
     std::vector<pollfd> fds;
     std::vector<int> dead;
+    int timeout = -1;  // until the nearest deadline; -1 sleeps until an event
     while (!stop.load(std::memory_order_relaxed)) {
       fds.clear();
       fds.push_back({listener, POLLIN, 0});
+      fds.push_back({wake_fd, POLLIN, 0});
       for (auto& [fd, s] : sessions) {
         short events = POLLIN;
         if (s.out_off < s.out.size()) events |= POLLOUT;
         fds.push_back({fd, events, 0});
       }
-      const int timeout = pending.empty() ? opt.poll_idle_ms : opt.poll_busy_ms;
       ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout);
 
       if (fds[0].revents & POLLIN) accept_all();
       dead.clear();
-      for (std::size_t i = 1; i < fds.size(); ++i) {
+      for (std::size_t i = 2; i < fds.size(); ++i) {
         const int fd = fds[i].fd;
         Session* s = find_session(fd);
         if (s == nullptr) continue;
@@ -735,9 +809,10 @@ struct TensorOpServer::Impl {
       }
       for (int fd : dead) close_session(fd);
 
-      harvest();
-      // Responses enqueued by harvest() go out on the next poll tick's
-      // POLLOUT -- except most sockets are writable now, so try eagerly.
+      if (fds[1].revents & POLLIN) harvest();
+      timeout = expire_deadlines();
+      // Responses enqueued above would go out on the next poll()'s POLLOUT
+      // -- except most sockets are writable now, so try eagerly.
       // Sessions whose unflushed backlog still exceeds the cap after the
       // flush are slow readers (the kernel socket buffers are full and the
       // client is not consuming): disconnect them instead of buffering
@@ -763,14 +838,24 @@ struct TensorOpServer::Impl {
       ::close(listener);
       listener = -1;
     }
-    // Drain abandoned jobs so their buffers outlive the engine work.
+    // Drain every job so its buffers outlive the engine work. A ready
+    // future means its completion callback has returned, so after this loop
+    // no worker touches `done` or wake_fd again.
     for (auto& p : pending) {
       try {
-        if (p.future.valid()) p.future.get();
+        p.future.get();
       } catch (...) {
       }
     }
+    {
+      std::lock_guard lock(done_mutex);
+      done.clear();
+    }
     pending.clear();
+    if (wake_fd >= 0) {
+      ::close(wake_fd);
+      wake_fd = -1;
+    }
   }
 };
 
@@ -800,6 +885,13 @@ void TensorOpServer::start() {
     throw std::system_error(err, std::generic_category(), "bind/listen");
   }
   set_nonblocking(im.listener);
+  im.wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (im.wake_fd < 0) {
+    const int err = errno;
+    ::close(im.listener);
+    im.listener = -1;
+    throw std::system_error(err, std::generic_category(), "eventfd");
+  }
   socklen_t len = sizeof(addr);
   ::getsockname(im.listener, reinterpret_cast<sockaddr*>(&addr), &len);
   bound_port_ = ntohs(addr.sin_port);
@@ -810,6 +902,7 @@ void TensorOpServer::start() {
 void TensorOpServer::stop() {
   if (!started_.exchange(false)) return;
   impl_->stop = true;
+  impl_->wake();
   if (io_.joinable()) io_.join();
   impl_->shutdown_sockets();
 }

@@ -4,8 +4,11 @@
 // table -- the lean aio media-server loop, not a thread-per-connection farm.
 // Kernel execution never happens on the I/O thread; requests are submitted
 // with Admission::kReject so a full engine queue surfaces immediately as the
-// retryable Status::kQueueFull instead of stalling the loop, and completed
-// futures are harvested on the next poll tick.
+// retryable Status::kQueueFull instead of stalling the loop. Job completion
+// is one of the loop's events: the engine's completion callback queues the
+// job and writes an eventfd in the poll set, so a finished job is answered
+// at once; poll() otherwise sleeps until the nearest request deadline, or
+// indefinitely.
 //
 // Multi-tenancy: every request names a tenant id. Each tenant owns its
 // uploaded tensors (bounded by a tensor-byte quota -- uploads beyond it get
@@ -49,9 +52,6 @@ struct ServerOptions {
   /// comfortably exceed kMaxFrameBytes so a single large result never trips
   /// it.
   std::size_t session_backlog_limit = 256u << 20;
-  /// poll() timeout while jobs are in flight / while idle.
-  int poll_busy_ms = 1;
-  int poll_idle_ms = 20;
 };
 
 /// Monotone counters + gauges, readable from any thread.

@@ -7,6 +7,7 @@
 // shapes never fuse) and the counter invariants.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <future>
 #include <vector>
@@ -275,12 +276,17 @@ TEST(BatchedEquivalence, SubmitCoalescingPreservesResultsAndCounters) {
     for (int j = 0; j < kJobs; ++j) outs.emplace_back(t.dim(0), rank);
     std::vector<std::future<void>> futures;
     futures.push_back(eng.submit(blocker_op.request(blocker_factors, blocker_out)));
+    // Every member of a fused batch runs its own completion callback once.
+    std::vector<std::atomic<int>> calls(kJobs);
     for (int j = 0; j < kJobs; ++j) {
-      futures.push_back(eng.submit(op.request(factors[static_cast<std::size_t>(j)],
-                                              outs[static_cast<std::size_t>(j)])));
+      const auto jj = static_cast<std::size_t>(j);
+      futures.push_back(eng.submit(op.request(factors[jj], outs[jj]), nullptr,
+                                   Admission::kBlock, [&calls, jj] { ++calls[jj]; }));
     }
     for (auto& f : futures) f.get();
     for (int j = 0; j < kJobs; ++j) {
+      EXPECT_EQ(calls[static_cast<std::size_t>(j)].load(), 1)
+          << "attempt " << attempt << " member " << j;
       ASSERT_EQ(DenseMatrix::max_abs_diff(outs[static_cast<std::size_t>(j)],
                                           seq_out[static_cast<std::size_t>(j)]),
                 0.0)

@@ -6,6 +6,7 @@
 #include "baselines/reference.hpp"
 #include "baselines/splatt.hpp"
 #include "core/cp_als.hpp"
+#include "core/native_exec.hpp"
 #include "io/generate.hpp"
 #include "test_support.hpp"
 
@@ -121,20 +122,46 @@ TEST(CpAls, TimingsBreakdownIsConsistent) {
   EXPECT_GE(result.timings.dense_seconds, 0.0);
 }
 
-TEST(CpAls, UnifiedModeTimesAreBalanced) {
+TEST(CpAls, UnifiedModeChunksAreBalanced) {
   // The paper's claim (Section IV-D): with per-mode F-COO plans the three
   // MTTKRP updates have "very similar and well-balanced execution times" on
-  // a cubic tensor.
+  // a cubic tensor. A wall-clock ratio depends on whatever else the host
+  // runs, so the times are only reported (bench_mode, perfbench's
+  // core.mttkrp_m0/m1/m2_ms). This checks the load-independent cause: every
+  // mode's plan cuts the same nnz into threadlen partitions, and the native
+  // worker grid depends on nnz alone, never on the mode's fiber structure,
+  // so every worker chunk gets the same non-zeros to within one partition.
   const auto lr = io::generate_low_rank({60, 60, 60}, 3, 60000, 0.0, 108);
   sim::Device dev;
-  auto opt = basic_options(8);
-  opt.max_iterations = 10;
-  opt.fit_tolerance = 0.0;
-  const auto result = test::cp_als_unified(dev, lr.tensor, opt);
-  const auto& t = result.timings.mttkrp_seconds;
-  const double max_t = *std::max_element(t.begin(), t.end());
-  const double min_t = *std::min_element(t.begin(), t.end());
-  EXPECT_LT(max_t / min_t, 4.0);  // same-order times across modes
+  engine::Engine eng(dev);
+  const Partitioning part = basic_options(8).part;
+  for (const unsigned workers : {1u, 2u, 3u, 4u, 8u, dev.pool().size() + 1}) {
+    std::vector<core::native::Chunk> mode0_grid;
+    for (int mode = 0; mode < 3; ++mode) {
+      const auto plan = eng.plan(lr.tensor, engine::OpKind::kSpMTTKRP, mode, part);
+      const core::FcooView f = plan->unified_plan().view();
+      ASSERT_EQ(f.nnz, lr.tensor.nnz());
+      const auto grid = core::native::make_chunks(f.nnz, f.threadlen, workers);
+      nnz_t covered = 0, min_parts = f.nnz, max_parts = 0;
+      for (const auto& c : grid) {
+        const nnz_t parts = ceil_div<nnz_t>(c.hi - c.lo, f.threadlen);
+        min_parts = std::min(min_parts, parts);
+        max_parts = std::max(max_parts, parts);
+        covered += c.hi - c.lo;
+      }
+      EXPECT_EQ(covered, f.nnz);
+      EXPECT_LE(max_parts - min_parts, 1u) << "mode " << mode << ", " << workers << " workers";
+      if (mode == 0) {
+        mode0_grid = grid;
+        continue;
+      }
+      ASSERT_EQ(grid.size(), mode0_grid.size()) << "mode " << mode;
+      for (std::size_t k = 0; k < grid.size(); ++k) {
+        EXPECT_EQ(grid[k].lo, mode0_grid[k].lo);
+        EXPECT_EQ(grid[k].hi, mode0_grid[k].hi);
+      }
+    }
+  }
 }
 
 TEST(CpAls, SplattDriverAgreesOnFit) {

@@ -3,11 +3,15 @@
 // plan acquisition (use_engine_cache=false, device memory released with the
 // last holder), submit() job admission (round-robin placement, sim pinning,
 // bounded queue with typed QueueFull/ShuttingDown backpressure, exception
-// propagation, sharded-job rejection), prewarm, plan forgetting, and the
-// aggregated Engine::stats() report.
+// propagation, sharded-job rejection, the completion callback and the drain
+// at destruction), prewarm, plan forgetting, and the aggregated
+// Engine::stats() report.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <future>
+#include <thread>
 
 #include "baselines/reference.hpp"
 #include "core/cp_als.hpp"
@@ -131,12 +135,19 @@ TEST(Engine, SubmitMatchesRunBitwiseAndRoundRobins) {
   constexpr int kJobs = 6;
   std::vector<DenseMatrix> outs(kJobs, DenseMatrix(t.dim(0), 6));
   std::vector<JobRecord> records(kJobs);
+  std::vector<std::atomic<int>> calls(kJobs);
   std::vector<std::future<void>> futures;
   for (int j = 0; j < kJobs; ++j) {
-    futures.push_back(eng.submit(op.request(factors, outs[static_cast<std::size_t>(j)]),
-                                 &records[static_cast<std::size_t>(j)]));
+    const auto jj = static_cast<std::size_t>(j);
+    futures.push_back(eng.submit(op.request(factors, outs[jj]), &records[jj],
+                                 Admission::kBlock, [&calls, jj] { ++calls[jj]; }));
   }
-  for (auto& f : futures) f.get();
+  // The completion callback runs before the future resolves: once get()
+  // returns, that job's callback has run, exactly once.
+  for (std::size_t j = 0; j < futures.size(); ++j) {
+    futures[j].get();
+    EXPECT_EQ(calls[j].load(), 1) << "job " << j;
+  }
 
   bool used[2] = {false, false};
   for (int j = 0; j < kJobs; ++j) {
@@ -192,7 +203,10 @@ TEST(Engine, SubmitAcceptsShardedJobsAndRejectsBadShapes) {
   sharded.shard.num_devices = 2;
   DenseMatrix direct(t.dim(0), 3);
   eng.run(op.request(factors, direct, sharded));
-  eng.submit(op.request(factors, out, sharded)).get();
+  std::atomic<int> calls{0};
+  const auto count = [&calls] { ++calls; };
+  eng.submit(op.request(factors, out, sharded), nullptr, Admission::kBlock, count).get();
+  EXPECT_EQ(calls.load(), 1);  // the sharded job ran its callback once
   ASSERT_EQ(out.rows(), direct.rows());
   ASSERT_EQ(out.cols(), direct.cols());
   for (index_t i = 0; i < out.rows(); ++i) {
@@ -202,11 +216,15 @@ TEST(Engine, SubmitAcceptsShardedJobsAndRejectsBadShapes) {
   // Sharded jobs on the sim backend stay rejected: replicas are native-only.
   core::UnifiedOptions sim_sharded = sharded;
   sim_sharded.backend = core::ExecBackend::kSim;
-  EXPECT_THROW((void)eng.submit(op.request(factors, out, sim_sharded)),
-               core::InvalidOptions);
+  EXPECT_THROW(
+      (void)eng.submit(op.request(factors, out, sim_sharded), nullptr, Admission::kBlock, count),
+      core::InvalidOptions);
 
   DenseMatrix wrong(t.dim(0), 5);  // out width != rank
-  EXPECT_THROW((void)eng.submit(op.request(factors, wrong)), ContractViolation);
+  EXPECT_THROW((void)eng.submit(op.request(factors, wrong), nullptr, Admission::kBlock, count),
+               ContractViolation);
+  // A refused submit admits no job, so its callback never runs.
+  EXPECT_EQ(calls.load(), 1);
 }
 
 TEST(Engine, SubmitPropagatesExecutionExceptions) {
@@ -238,8 +256,11 @@ TEST(Engine, SubmitPropagatesExecutionExceptions) {
   req.out = out.data();
   req.out_rows = out.rows();
   req.out_cols = out.cols();
-  std::future<void> fut = eng.submit(std::move(req));
+  std::atomic<int> calls{0};
+  std::future<void> fut =
+      eng.submit(std::move(req), nullptr, Admission::kBlock, [&calls] { ++calls; });
   EXPECT_THROW(fut.get(), sim::DeviceOutOfMemory);
+  EXPECT_EQ(calls.load(), 1);  // failed jobs run their callback too
 }
 
 TEST(Engine, BoundedQueueStillCompletesEveryJob) {
@@ -259,6 +280,44 @@ TEST(Engine, BoundedQueueStillCompletesEveryJob) {
   for (auto& o : outs) futures.push_back(eng.submit(op.request(factors, o)));
   for (auto& f : futures) f.get();
   for (const auto& o : outs) EXPECT_EQ(DenseMatrix::max_abs_diff(o, want), 0.0);
+
+  // An engine destroyed with jobs still queued completes every one of them
+  // first, callbacks included. The first job's callback holds the only
+  // worker (a stand-in for a long job) until the destructor has begun, so
+  // the others are provably queued when it starts.
+  constexpr std::size_t kQueued = 6;
+  std::vector<DenseMatrix> late(kQueued + 1, DenseMatrix(t.dim(0), 4));
+  std::vector<std::future<void>> drained;
+  std::atomic<int> calls{0};
+  std::promise<void> entered, release;
+  std::thread releaser;
+  {
+    Engine doomed(EngineOptions{.num_devices = 1, .max_queued_jobs = 16});
+    core::UnifiedMttkrp dop(doomed, t, 0, Partitioning{});
+    drained.push_back(doomed.submit(dop.request(factors, late[0]), nullptr, Admission::kBlock,
+                                    [&] {
+                                      ++calls;
+                                      entered.set_value();
+                                      release.get_future().wait();
+                                    }));
+    entered.get_future().wait();
+    for (std::size_t j = 1; j <= kQueued; ++j) {
+      drained.push_back(doomed.submit(dop.request(factors, late[j]), nullptr,
+                                      Admission::kBlock, [&calls] { ++calls; }));
+    }
+    EXPECT_EQ(doomed.stats().jobs_queued, kQueued);
+    releaser = std::thread([&release] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      release.set_value();
+    });
+  }
+  releaser.join();
+  EXPECT_EQ(calls.load(), static_cast<int>(kQueued + 1));
+  for (std::size_t j = 0; j < drained.size(); ++j) {
+    ASSERT_EQ(drained[j].wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    drained[j].get();
+    EXPECT_EQ(DenseMatrix::max_abs_diff(late[j], want), 0.0) << "job " << j;
+  }
 }
 
 TEST(Engine, CpAlsOnEngineHitsCachesAcrossSolves) {

@@ -484,10 +484,12 @@ TEST(Service, PlanQuotaEvictsLeastRecentlyUsedThroughEngineForget) {
 }
 
 TEST(Service, DeadlineMissRespondsTimeoutAndKeepsServing) {
-  // One device, three front jobs without deadlines, then a 1 ms-deadline job
+  // One device, four front jobs without deadlines, then a 1 ms-deadline job
   // queued behind them: its deadline passes while it waits, the server
   // answers kTimeout, and the abandoned job's buffers survive until the
-  // engine drains it (ASan-checked by the following traffic).
+  // engine drains it (ASan-checked by the following traffic). A second
+  // phase runs one job alone, so only the deadline itself can wake the
+  // I/O loop in time.
   engine::Engine eng(engine::EngineOptions{.num_devices = 1, .max_queued_jobs = 16});
   TensorOpServer server(eng);
   server.start();
@@ -525,6 +527,46 @@ TEST(Service, DeadlineMissRespondsTimeoutAndKeepsServing) {
   EXPECT_EQ(timed_out, 1);
   EXPECT_TRUE(c.ping().ok());
   EXPECT_GE(server.stats().timeouts, 1u);
+
+  // Phase 2: nothing else in flight, and SpTTMc at rank 128 (16384 output
+  // columns per row) runs for well over 100x its 1 ms deadline. No job
+  // completes before the deadline, so kTimeout must come from the loop's
+  // own deadline wakeup, while the engine still counts the job in flight
+  // (queued or executing: a loaded host may not have dequeued it yet).
+  const auto wait_idle = [&eng] {
+    for (const auto give_up = Clock::now() + std::chrono::seconds(300); Clock::now() < give_up;) {
+      const engine::EngineStats s = eng.stats();
+      if (s.jobs_submitted == s.jobs_completed) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  };
+  ASSERT_TRUE(wait_idle());  // phase 1's abandoned job has drained
+  Prng rng(0xDEAD);
+  std::vector<DenseMatrix> wide;
+  for (int m = 1; m < 3; ++m) {
+    DenseMatrix f(t.dim(m), 128);
+    f.fill_random(rng, -1.0f, 1.0f);
+    wide.push_back(std::move(f));
+  }
+  const std::uint64_t completed = eng.stats().jobs_completed;
+  const std::uint64_t answered = server.stats().responses;
+  const std::uint64_t lone_id =
+      c.send_run(1, WireOp::kSpTTMc, 0, kPart, wide, /*timeout_ms=*/1);
+  const Response late = c.recv_response();
+  const engine::EngineStats during = eng.stats();
+  EXPECT_EQ(late.header.request_id, lone_id);
+  EXPECT_EQ(late.header.status, Status::kTimeout) << status_name(late.header.status);
+  EXPECT_EQ(during.jobs_completed, completed);
+  EXPECT_EQ(during.jobs_queued + during.jobs_active, 1u);
+  // The late result is dropped: after the job completes, the session's
+  // next response answers the ping, and the server has sent exactly two
+  // responses since the job went in (kTimeout and the ping's).
+  ASSERT_TRUE(wait_idle());
+  const Response pong = c.ping();
+  EXPECT_TRUE(pong.ok()) << status_name(pong.header.status);
+  EXPECT_NE(pong.header.request_id, lone_id);
+  EXPECT_EQ(server.stats().responses, answered + 2);
   server.stop();
 }
 
@@ -651,8 +693,10 @@ TEST(Service, TraceExportsConnectedSpanChain) {
   // correlation id: tenant in the top bits, wire request_id in the low
   // (trace_id_for in server.cpp). The run was this connection's request 2.
   const std::uint64_t run_id = (std::uint64_t{9} << 40) | 2u;
-  for (const char* name :
-       {"service.request", "engine.queue", "engine.exec", "native.execute"}) {
+  // service.harvest runs from the job's completion callback to its response
+  // being queued on the I/O thread.
+  for (const char* name : {"service.request", "engine.queue", "engine.exec", "native.execute",
+                           "service.harvest"}) {
     bool found = false;
     const std::string needle = std::string("\"name\":\"") + name + "\"";
     const std::string idstr = "\"trace_id\":" + std::to_string(run_id);
