@@ -174,13 +174,12 @@ CpResult cp_als_unified(engine::Engine& engine, const CooTensor& tensor,
                         const CpOptions& options) {
   // Build one plan per mode up front; F-COO is transferred to the device
   // once, and no format conversion happens inside the iteration. The
-  // engine's primary plan cache (or options.plan_cache) turns repeated
-  // solver calls on the same tensor into per-mode cache hits.
+  // engine's primary plan cache turns repeated solver calls on the same
+  // tensor into per-mode cache hits.
   std::vector<UnifiedMttkrp> ops;
   ops.reserve(static_cast<std::size_t>(tensor.order()));
   for (int m = 0; m < tensor.order(); ++m) {
-    ops.emplace_back(engine, tensor, m, options.part, options.streaming,
-                     options.plan_cache);
+    ops.emplace_back(engine, tensor, m, options.part, options.streaming);
   }
   return cp_als_driver(tensor, options,
                        [&](int mode, const std::vector<DenseMatrix>& factors) {

@@ -28,11 +28,6 @@ struct CpOptions {
   /// per-op simulated device group (src/shard/), bitwise identical to the
   /// single-device solve.
   UnifiedOptions kernel;
-  /// Per-mode MTTKRP plans are fetched from / inserted into this LRU cache
-  /// when non-null, so repeated solver invocations on the same tensor skip
-  /// F-COO construction and upload entirely (bench_pipeline measures the
-  /// cached-vs-cold gap). The cache must outlive the call.
-  pipeline::PlanCache* plan_cache = nullptr;
   /// Streams every MTTKRP through bounded-memory chunk plans when enabled
   /// (tensors larger than device memory); bypasses the plan cache.
   StreamingOptions streaming;
@@ -57,9 +52,9 @@ struct CpResult {
 };
 
 /// Runs CP-ALS with unified SpMTTKRP kernels through `engine`: the per-mode
-/// plans live in the engine's primary plan cache (unless options.plan_cache
-/// overrides it), so repeat solves -- and any other traffic on the same
-/// engine -- share one set of caches and one device group.
+/// plans live in the engine's primary plan cache, so repeat solves -- and
+/// any other traffic on the same engine -- share one set of caches and one
+/// device group.
 CpResult cp_als_unified(engine::Engine& engine, const CooTensor& tensor,
                         const CpOptions& options);
 

@@ -24,14 +24,12 @@ class UnifiedMttkrp {
  public:
   /// Preprocesses `tensor` for MTTKRP on `mode` (0-based) through `engine`,
   /// whose primary-device plan cache serves repeated constructions (e.g.
-  /// successive CP-ALS invocations) unless `cache` overrides it. With
-  /// `stream.enabled` the tensor is kept on the host and every run() streams
-  /// bounded-memory chunk plans through the native kernel (src/pipeline/,
-  /// DESIGN.md §9); streaming runs bypass the caches. The engine must
-  /// outlive this object.
+  /// successive CP-ALS invocations). With `stream.enabled` the tensor is
+  /// kept on the host and every run() streams bounded-memory chunk plans
+  /// through the native kernel (src/pipeline/, DESIGN.md §9); streaming runs
+  /// bypass the caches. The engine must outlive this object.
   UnifiedMttkrp(engine::Engine& engine, const CooTensor& tensor, int mode,
-                Partitioning part, const StreamingOptions& stream = {},
-                pipeline::PlanCache* cache = nullptr);
+                Partitioning part, const StreamingOptions& stream = {});
 
   int mode() const noexcept { return plan_->mode; }
   const UnifiedPlan& plan() const { return plan_->unified_plan(); }

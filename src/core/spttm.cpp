@@ -5,10 +5,8 @@
 namespace ust::core {
 
 UnifiedSpttm::UnifiedSpttm(engine::Engine& engine, const CooTensor& tensor, int mode,
-                           Partitioning part, const StreamingOptions& stream,
-                           pipeline::PlanCache* cache)
-    : engine_(&engine),
-      plan_(engine.plan(tensor, engine::OpKind::kSpTTM, mode, part, stream, cache)) {}
+                           Partitioning part, const StreamingOptions& stream)
+    : engine_(&engine), plan_(engine.plan(tensor, engine::OpKind::kSpTTM, mode, part, stream)) {}
 
 SemiSparseTensor UnifiedSpttm::make_output(index_t r) const {
   std::vector<index_t> sparse_dims;

@@ -22,13 +22,12 @@ namespace ust::core {
 
 class UnifiedSpttm {
  public:
-  /// See UnifiedMttkrp for the `stream` / `cache` semantics: streaming keeps
-  /// the tensor on the host and runs bounded-memory chunk plans; the engine's
-  /// primary plan cache (or an explicit `cache`) reuses the device plan and
-  /// the host fiber coordinates across constructions.
+  /// See UnifiedMttkrp for the `stream` semantics: streaming keeps the
+  /// tensor on the host and runs bounded-memory chunk plans; otherwise the
+  /// engine's primary plan cache reuses the device plan and the host fiber
+  /// coordinates across constructions.
   UnifiedSpttm(engine::Engine& engine, const CooTensor& tensor, int mode,
-               Partitioning part, const StreamingOptions& stream = {},
-               pipeline::PlanCache* cache = nullptr);
+               Partitioning part, const StreamingOptions& stream = {});
 
   int mode() const noexcept { return plan_->mode; }
   const UnifiedPlan& plan() const { return plan_->unified_plan(); }

@@ -21,10 +21,9 @@ class UnifiedTtmc {
  public:
   /// Currently implemented for 3-order tensors (the paper's evaluation
   /// scope); `mode` selects the index mode. See UnifiedMttkrp for the
-  /// `stream` / `cache` semantics.
+  /// `stream` semantics.
   UnifiedTtmc(engine::Engine& engine, const CooTensor& tensor, int mode,
-              Partitioning part, const StreamingOptions& stream = {},
-              pipeline::PlanCache* cache = nullptr);
+              Partitioning part, const StreamingOptions& stream = {});
 
   int mode() const noexcept { return plan_->mode; }
   const UnifiedPlan& plan() const { return plan_->unified_plan(); }

@@ -3,10 +3,8 @@
 namespace ust::core {
 
 UnifiedTtv::UnifiedTtv(engine::Engine& engine, const CooTensor& tensor, int mode,
-                       Partitioning part, const StreamingOptions& stream,
-                       pipeline::PlanCache* cache)
-    : engine_(&engine),
-      plan_(engine.plan(tensor, engine::OpKind::kSpTTV, mode, part, stream, cache)) {}
+                       Partitioning part, const StreamingOptions& stream)
+    : engine_(&engine), plan_(engine.plan(tensor, engine::OpKind::kSpTTV, mode, part, stream)) {}
 
 engine::OpRequest UnifiedTtv::request(std::span<const std::vector<value_t>> vectors,
                                       std::vector<value_t>& out,

@@ -25,9 +25,9 @@ namespace ust::core {
 
 class UnifiedTtv {
  public:
-  /// See UnifiedMttkrp for the `stream` / `cache` semantics.
+  /// See UnifiedMttkrp for the `stream` semantics.
   UnifiedTtv(engine::Engine& engine, const CooTensor& tensor, int mode, Partitioning part,
-             const StreamingOptions& stream = {}, pipeline::PlanCache* cache = nullptr);
+             const StreamingOptions& stream = {});
 
   int mode() const noexcept { return plan_->mode; }
   const UnifiedPlan& plan() const { return plan_->unified_plan(); }

@@ -139,13 +139,12 @@ TuckerResult tucker_hooi_unified(engine::Engine& engine, const CooTensor& tensor
                                  const TuckerOptions& options) {
   validate_tucker_options(tensor, options);
   // One TTMc plan per mode, built once (as with CP's per-mode F-COO plans);
-  // the engine's primary cache (or options.plan_cache) turns repeated solver
-  // calls into per-mode cache hits.
+  // the engine's primary cache turns repeated solver calls into per-mode
+  // cache hits.
   std::vector<UnifiedTtmc> ops;
   ops.reserve(3);
   for (int m = 0; m < 3; ++m) {
-    ops.emplace_back(engine, tensor, m, options.part, options.streaming,
-                     options.plan_cache);
+    ops.emplace_back(engine, tensor, m, options.part, options.streaming);
   }
   return tucker_hooi_impl(ops, tensor, options);
 }

@@ -24,9 +24,7 @@ struct TuckerOptions {
   /// Kernel options for every TTMc; kernel.shard.num_devices > 1 shards each
   /// mode update across a simulated device group (see CpOptions::kernel).
   UnifiedOptions kernel;
-  /// Per-mode TTMc plans come from this LRU cache when non-null (see
-  /// CpOptions::plan_cache); streaming chunks every TTMc when enabled.
-  pipeline::PlanCache* plan_cache = nullptr;
+  /// Streams every TTMc through bounded-memory chunk plans when enabled.
   StreamingOptions streaming;
   std::uint64_t seed = 42;
 };
@@ -41,7 +39,7 @@ struct TuckerResult {
 };
 
 /// Runs HOOI on a 3-order sparse tensor through `engine` (per-mode TTMc
-/// plans in the engine's primary cache unless options.plan_cache overrides).
+/// plans in the engine's primary cache).
 TuckerResult tucker_hooi_unified(engine::Engine& engine, const CooTensor& tensor,
                                  const TuckerOptions& options);
 

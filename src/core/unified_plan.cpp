@@ -82,9 +82,9 @@ UnifiedPlan::UnifiedPlan(sim::Device& device, const FcooTensor& fcoo, Partitioni
   vals_.copy_from_host(fcoo.values());
 
   // Segment id of each thread partition's first non-zero: a single pass over
-  // the head flags (the host-side preprocessing the paper amortises).
-  const std::vector<index_t> first_seg = first_segment_per_partition(
-      nnz_, part_.threadlen, [&](nnz_t x) { return fcoo.is_head(x); });
+  // the head-flag words (the host-side preprocessing the paper amortises).
+  const std::vector<index_t> first_seg =
+      first_segment_per_partition(words, nnz_, part_.threadlen);
   thread_first_seg_ = device.alloc<index_t>(first_seg.size());
   thread_first_seg_.copy_from_host(first_seg);
 

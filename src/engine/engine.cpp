@@ -195,13 +195,19 @@ void Engine::start_workers_locked() {
 
 std::shared_ptr<const OpPlan> Engine::plan(const CooTensor& tensor, OpKind kind, int mode,
                                            const Partitioning& part,
-                                           const core::StreamingOptions& stream,
-                                           pipeline::PlanCache* external_cache,
-                                           bool use_engine_cache) {
+                                           const core::StreamingOptions& stream) {
   core::validate(part, core::UnifiedOptions{}, stream);
   if (kind == OpKind::kSpTTMc) UST_EXPECTS(tensor.order() == 3);
   const core::ModePlan mp = mode_plan_for(kind, tensor.order(), mode);
   UST_EXPECTS(mp.product_modes.size() <= kMaxProductModes);
+
+  sim::Device* dev0 = nullptr;
+  pipeline::PlanCache* cache = nullptr;
+  {
+    std::lock_guard lock(state_mutex_);
+    dev0 = &group_->device(0);
+    cache = &group_->cache(0);
+  }
 
   auto p = std::make_shared<OpPlan>();
   p->kind = kind;
@@ -209,15 +215,13 @@ std::shared_ptr<const OpPlan> Engine::plan(const CooTensor& tensor, OpKind kind,
   p->mode = mode;
   p->part = part;
   p->stream = stream;
-  // Fingerprinted because the per-device (replica + shard) caches are shared
-  // across ops and tensors, so keys must carry the tensor identity. Streaming
-  // plans never touch those caches (chunk plans are transient, and sharded
-  // streaming bypasses acquire_shard_plan), so they skip the O(nnz) pass.
-  if (!stream.enabled) p->tensor_fp = pipeline::coo_fingerprint(tensor);
 
   if (stream.enabled) {
+    // Streaming plans never touch the caches (chunk plans are transient, and
+    // sharded streaming bypasses acquire_shard_plan), so they carry no
+    // fingerprint.
     auto f = std::make_shared<FcooTensor>(
-        FcooTensor::build(tensor, mp.index_modes, mp.product_modes));
+        FcooTensor::build(tensor, mp.index_modes, mp.product_modes, &dev0->pool()));
     p->dims = f->dims();
     p->index_modes = f->index_modes();
     p->product_modes = f->product_modes();
@@ -234,20 +238,12 @@ std::shared_ptr<const OpPlan> Engine::plan(const CooTensor& tensor, OpKind kind,
     return p;
   }
 
-  sim::Device* dev0 = nullptr;
-  pipeline::PlanCache* engine_cache = nullptr;
-  {
-    std::lock_guard lock(state_mutex_);
-    dev0 = &group_->device(0);
-    engine_cache = &group_->cache(0);
-  }
-  pipeline::PlanCache* cache =
-      external_cache != nullptr ? external_cache : (use_engine_cache ? engine_cache : nullptr);
-  // acquire_plan builds outside the cache lock and keys on the *mode plan's*
-  // op, so SpTTV shares SpMTTKRP's entries -- identical layout. The
-  // fingerprint computed above is reused for the key (one O(nnz) pass, not
-  // two).
-  p->bundle = pipeline::acquire_plan(*dev0, tensor, mp, part, cache,
+  // Fingerprinted because the per-device (primary, replica and shard) caches
+  // are shared across ops and tensors, so keys must carry the tensor
+  // identity. acquire_plan builds outside the cache lock and keys on the
+  // *mode plan's* op, so SpTTV shares SpMTTKRP's entries -- identical layout.
+  p->tensor_fp = pipeline::coo_fingerprint(tensor, &dev0->pool());
+  p->bundle = pipeline::acquire_plan(*dev0, tensor, mp, part, *cache,
                                      /*want_coords=*/kind == OpKind::kSpTTM,
                                      p->tensor_fp);
   p->dims = p->bundle->plan.dims();

@@ -296,17 +296,12 @@ class Engine {
   /// caches are appended, existing ones (and their cached plans) survive.
   void ensure_devices(unsigned n);
 
-  /// Builds (or fetches) the F-COO handle for one operation. Plans go through
-  /// the engine's primary-device cache by default; `external_cache` overrides
-  /// it (the CpOptions::plan_cache compatibility path), and
-  /// `use_engine_cache = false` with no external cache builds an uncached
-  /// plan (the deprecated per-op constructors' historical behaviour, which
-  /// releases all device memory when the last holder drops the plan).
+  /// Builds (or fetches) the F-COO handle for one operation through the
+  /// engine's primary-device cache. The fingerprint and a missing plan's
+  /// build run on the primary device's pool.
   std::shared_ptr<const OpPlan> plan(const CooTensor& tensor, OpKind kind, int mode,
                                      const Partitioning& part,
-                                     const core::StreamingOptions& stream = {},
-                                     pipeline::PlanCache* external_cache = nullptr,
-                                     bool use_engine_cache = true);
+                                     const core::StreamingOptions& stream = {});
 
   /// Synchronous execution on the primary device (or the sharded path when
   /// req.options.shard.num_devices > 1). Serialises against submitted jobs on

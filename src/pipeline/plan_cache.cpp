@@ -1,7 +1,11 @@
 #include "pipeline/plan_cache.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "pipeline/stream_executor.hpp"
 #include "tensor/fcoo.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ust::pipeline {
 
@@ -9,10 +13,33 @@ namespace {
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+/// Elements per independently hashed block of a fingerprinted array.
+constexpr nnz_t kFingerprintBlock = nnz_t{1} << 16;
 
 inline void mix(std::uint64_t& h, std::uint64_t v) {
   h ^= v;
   h *= kFnvPrime;
+}
+
+/// FNV-1a over the 32-bit words of `block` in four interleaved lanes (word
+/// i feeds lane i mod 4), so four multiply chains run side by side; the
+/// lanes then fold into one hash.
+template <class T>
+std::uint64_t hash_block(std::span<const T> block) {
+  static_assert(sizeof(T) == sizeof(std::uint32_t));
+  std::uint64_t lane[4] = {kFnvOffset, kFnvOffset, kFnvOffset, kFnvOffset};
+  const auto word = [&](std::size_t i) { return std::bit_cast<std::uint32_t>(block[i]); };
+  std::size_t i = 0;
+  for (; i + 4 <= block.size(); i += 4) {
+    mix(lane[0], word(i));
+    mix(lane[1], word(i + 1));
+    mix(lane[2], word(i + 2));
+    mix(lane[3], word(i + 3));
+  }
+  for (; i < block.size(); ++i) mix(lane[i % 4], word(i));
+  std::uint64_t h = kFnvOffset;
+  for (const std::uint64_t l : lane) mix(h, l);
+  return h;
 }
 
 }  // namespace
@@ -24,20 +51,30 @@ std::size_t CachedPlan::bytes() const {
   return b;
 }
 
-std::uint64_t coo_fingerprint(const CooTensor& tensor) {
+std::uint64_t coo_fingerprint(const CooTensor& tensor, ThreadPool* pool) {
+  // One hash per fixed block of every index column and of the value bits,
+  // so the blocks hash in parallel; then one over the shape and the block
+  // hashes in order. The value depends on the data and kFingerprintBlock
+  // only, never on the pool.
+  const nnz_t n = tensor.nnz();
+  const std::size_t per_col = ceil_div<nnz_t>(n, kFingerprintBlock);
+  const auto cols = static_cast<std::size_t>(tensor.order()) + 1;
+  std::vector<std::uint64_t> parts(per_col * cols);
+  for_each_block(per_col > 1 ? pool : nullptr, parts.size(), 1,
+                 [&](std::size_t i, std::size_t, std::size_t) {
+                   const std::size_t col = i / per_col;
+                   const nnz_t lo = (i % per_col) * kFingerprintBlock;
+                   const nnz_t len = std::min<nnz_t>(kFingerprintBlock, n - lo);
+                   parts[i] = col < cols - 1
+                                  ? hash_block(tensor.mode_indices(static_cast<int>(col))
+                                                   .subspan(lo, len))
+                                  : hash_block(tensor.values().subspan(lo, len));
+                 });
   std::uint64_t h = kFnvOffset;
   mix(h, static_cast<std::uint64_t>(tensor.order()));
   for (index_t d : tensor.dims()) mix(h, d);
-  mix(h, tensor.nnz());
-  for (int m = 0; m < tensor.order(); ++m) {
-    for (index_t i : tensor.mode_indices(m)) mix(h, i);
-  }
-  for (value_t v : tensor.values()) {
-    std::uint32_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    __builtin_memcpy(&bits, &v, sizeof(bits));
-    mix(h, bits);
-  }
+  mix(h, n);
+  for (std::uint64_t part : parts) mix(h, part);
   return h;
 }
 
@@ -172,20 +209,13 @@ void PlanCache::clear() {
 std::shared_ptr<const CachedPlan> acquire_plan(sim::Device& device,
                                                const CooTensor& tensor,
                                                const core::ModePlan& mp,
-                                               const Partitioning& part, PlanCache* cache,
-                                               bool want_coords) {
-  // The fingerprint only keys the cache; skip the O(nnz) pass when uncached.
-  return acquire_plan(device, tensor, mp, part, cache, want_coords,
-                      cache != nullptr ? coo_fingerprint(tensor) : 0);
-}
-
-std::shared_ptr<const CachedPlan> acquire_plan(sim::Device& device,
-                                               const CooTensor& tensor,
-                                               const core::ModePlan& mp,
-                                               const Partitioning& part, PlanCache* cache,
+                                               const Partitioning& part, PlanCache& cache,
                                                bool want_coords, std::uint64_t tensor_fp) {
-  const auto build = [&] {
-    const FcooTensor fcoo = FcooTensor::build(tensor, mp.index_modes, mp.product_modes);
+  const PlanKey key{&device, tensor_fp, mp.op, mp.target_mode,
+                    part.threadlen, part.block_size};
+  return cache.get_or_build(key, [&] {
+    const FcooTensor fcoo =
+        FcooTensor::build(tensor, mp.index_modes, mp.product_modes, &device.pool());
     CachedPlan cached{core::UnifiedPlan(device, fcoo, part), {}, nullptr};
     if (want_coords) {
       cached.segment_coords.resize(mp.index_modes.size());
@@ -195,11 +225,7 @@ std::shared_ptr<const CachedPlan> acquire_plan(sim::Device& device,
       }
     }
     return cached;
-  };
-  if (cache == nullptr) return std::make_shared<const CachedPlan>(build());
-  const PlanKey key{&device, tensor_fp, mp.op, mp.target_mode,
-                    part.threadlen, part.block_size};
-  return cache->get_or_build(key, build);
+  });
 }
 
 }  // namespace ust::pipeline

@@ -26,12 +26,11 @@ namespace ust::pipeline {
 
 struct ChunkPlan;
 
-/// Order-independent-free content fingerprint of a COO tensor: hashes dims,
-/// nnz, every index array and the raw value bits (FNV-1a over words). Two
-/// tensors with equal fingerprints are treated as identical by the cache;
-/// the linear pass is orders of magnitude cheaper than the sort the cache
-/// avoids.
-std::uint64_t coo_fingerprint(const CooTensor& tensor);
+/// Content fingerprint of a COO tensor in storage order: hashes dims, nnz,
+/// every index array and the raw value bits (FNV-1a over words, per fixed
+/// block, with the blocks hashed on `pool` when given). Two tensors with
+/// equal fingerprints are treated as identical by the cache.
+std::uint64_t coo_fingerprint(const CooTensor& tensor, ThreadPool* pool = nullptr);
 
 /// What the cache stores per key. Whole-tensor entries (acquire_plan) carry
 /// the device-resident UnifiedPlan plus the host copies of the per-segment
@@ -157,26 +156,19 @@ class PlanCache {
   std::uint64_t evictions_ = 0;
 };
 
-/// Single plan-acquisition path (now called by engine::Engine::plan on
-/// behalf of all four unified ops): builds the F-COO + UnifiedPlan bundle
-/// for `mp` on `part`, going through `cache` when non-null (keyed on the
-/// *mode plan's* op, so SpTTV -- which reuses the SpMTTKRP mode split and
-/// therefore an identical plan -- shares SpMTTKRP's cache entries).
-/// `want_coords` additionally captures the host per-segment index-mode
-/// coordinates in the bundle (SpTTM's output assembly). The returned
-/// shared_ptr alone keeps the bundle alive, cached or not. The second
-/// overload takes a precomputed coo_fingerprint(tensor) so callers that
-/// already fingerprinted (the engine keys its per-device caches on it) do
-/// not pay the O(nnz) pass twice.
+/// Single plan-acquisition path (called by engine::Engine::plan on behalf
+/// of all four unified ops): returns `cache`'s F-COO + UnifiedPlan bundle
+/// for `mp` on `part`, building it on `device`'s pool on a miss. Keyed on
+/// the *mode plan's* op, so SpTTV -- which reuses the SpMTTKRP mode split
+/// and therefore an identical plan -- shares SpMTTKRP's cache entries, and
+/// on `tensor_fp` = coo_fingerprint(tensor). `want_coords` additionally
+/// captures the host per-segment index-mode coordinates in the bundle
+/// (SpTTM's output assembly). The returned shared_ptr alone keeps the
+/// bundle alive.
 std::shared_ptr<const CachedPlan> acquire_plan(sim::Device& device,
                                                const CooTensor& tensor,
                                                const core::ModePlan& mp,
-                                               const Partitioning& part, PlanCache* cache,
-                                               bool want_coords);
-std::shared_ptr<const CachedPlan> acquire_plan(sim::Device& device,
-                                               const CooTensor& tensor,
-                                               const core::ModePlan& mp,
-                                               const Partitioning& part, PlanCache* cache,
+                                               const Partitioning& part, PlanCache& cache,
                                                bool want_coords, std::uint64_t tensor_fp);
 
 }  // namespace ust::pipeline

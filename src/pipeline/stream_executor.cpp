@@ -53,9 +53,8 @@ std::unique_ptr<ChunkPlan> build_chunk_plan(sim::Device& device, const HostFcoo&
 
   // Local partition -> local segment id: the SAME scan UnifiedPlan runs,
   // applied to the chunk-local bit slice (spec.lo is threadlen-aligned).
-  const std::vector<index_t> first_seg = first_segment_per_partition(
-      count, part.threadlen,
-      [&](nnz_t x) { return ((bits[x >> 6] >> (x & 63)) & 1ull) != 0; });
+  const std::vector<index_t> first_seg =
+      first_segment_per_partition(bits, count, part.threadlen);
   plan->thread_first_seg = device.alloc<index_t>(first_seg.size());
   plan->thread_first_seg.copy_from_host(first_seg);
 

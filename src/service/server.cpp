@@ -73,11 +73,16 @@ struct TensorOpServer::Impl {
 
   struct Session {
     int fd = -1;
+    /// Never reused, unlike fd numbers: a pending job names its session by
+    /// (fd, id), so a result that outlives its session cannot reach the
+    /// next session the kernel hands the same fd.
+    std::uint64_t id = 0;
     FrameAssembler in;
     std::vector<std::uint8_t> out;
     std::size_t out_off = 0;
   };
   std::unordered_map<int, Session> sessions;  // keyed by fd
+  std::uint64_t next_session_id = 1;
 
   /// One submitted job. The matrices anchor every pointer the OpRequest
   /// handed to the engine, so a Pending must outlive its job even when the
@@ -86,6 +91,7 @@ struct TensorOpServer::Impl {
   /// shutdown drain.
   struct Pending {
     int fd = -1;
+    std::uint64_t session_id = 0;
     std::uint64_t request_id = 0;
     std::uint64_t trace_id = 0;
     std::future<void> future;
@@ -473,6 +479,7 @@ struct TensorOpServer::Impl {
 
     Pending job;
     job.fd = s.fd;
+    job.session_id = s.id;
     job.request_id = h.request_id;
     job.trace_id = trace_id_for(h);
     job.t_arrive = Clock::now();
@@ -640,7 +647,7 @@ struct TensorOpServer::Impl {
     // returns at once (at most it waits out that gap).
     for (const Completion& c : harvesting) {
       const auto it = c.job;
-      Session* s = it->abandoned ? nullptr : find_session(it->fd);
+      Session* s = it->abandoned ? nullptr : owner(*it);
       if (s == nullptr) {
         // Response already sent (timeout) or the session is gone: just let
         // the buffers go.
@@ -690,7 +697,7 @@ struct TensorOpServer::Impl {
         if (!next || *p.deadline < *next) next = p.deadline;
         continue;
       }
-      if (auto* s = find_session(p.fd)) {
+      if (auto* s = owner(p)) {
         respond_error(*s, Status::kTimeout, p.request_id, "deadline exceeded");
       } else {
         ++timeouts;
@@ -710,6 +717,12 @@ struct TensorOpServer::Impl {
     return it != sessions.end() ? &it->second : nullptr;
   }
 
+  /// The session that submitted `p`, or nullptr once it has closed.
+  Session* owner(const Pending& p) {
+    Session* s = find_session(p.fd);
+    return s != nullptr && s->id == p.session_id ? s : nullptr;
+  }
+
   void close_session(int fd) {
     const auto it = sessions.find(fd);
     if (it == sessions.end()) return;
@@ -724,7 +737,7 @@ struct TensorOpServer::Impl {
       if (fd < 0) return;  // EAGAIN / transient
       const int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      sessions.emplace(fd, Session{fd, {}, {}, 0});
+      sessions.emplace(fd, Session{fd, next_session_id++, {}, {}, 0});
       ++sessions_accepted;
       ++sessions_gauge;
     }

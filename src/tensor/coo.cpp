@@ -1,10 +1,15 @@
 #include "tensor/coo.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <numeric>
+#include <type_traits>
 #include <unordered_set>
+
+#include "util/thread_pool.hpp"
 
 namespace ust {
 
@@ -34,28 +39,104 @@ void CooTensor::push_back(std::span<const index_t> idx, value_t v) {
   vals_.push_back(v);
 }
 
-void CooTensor::sort_by_modes(std::span<const int> mode_order) {
+namespace {
+
+/// Cap on a sort pass's block count, which bounds its per-block histograms.
+constexpr nnz_t kMaxSortBlocks = 64;
+
+/// One digit of the LSD counting sort: `bits` bits of mode `mode`'s index,
+/// starting at bit `shift`.
+struct Digit {
+  int mode;
+  unsigned shift;
+  unsigned bits;
+};
+
+}  // namespace
+
+std::vector<std::uint32_t> CooTensor::sort_permutation(std::span<const int> mode_order,
+                                                       ThreadPool* pool) const {
   UST_EXPECTS(static_cast<int>(mode_order.size()) == order());
   const nnz_t n = nnz();
-  std::vector<nnz_t> perm(n);
-  std::iota(perm.begin(), perm.end(), nnz_t{0});
-  std::sort(perm.begin(), perm.end(), [&](nnz_t a, nnz_t b) {
-    for (int m : mode_order) {
-      const auto& col = idx_[static_cast<std::size_t>(m)];
-      if (col[a] != col[b]) return col[a] < col[b];
+  UST_EXPECTS(n <= std::numeric_limits<std::uint32_t>::max());
+
+  // Digits least significant first: the last mode's low digit leads. A mode
+  // of size 1 needs no digit; a mode wider than `max_bits` splits into even
+  // digits. Digits no wider than bit_width(n) (but at least 8 bits) keep a
+  // small tensor's histograms O(n) instead of 2^16 buckets.
+  const auto max_bits = std::clamp(static_cast<unsigned>(std::bit_width(n)), 8u, 16u);
+  std::vector<Digit> digits;
+  for (auto m = mode_order.rbegin(); m != mode_order.rend(); ++m) {
+    const auto bits = static_cast<unsigned>(std::bit_width(dim(*m) - 1));
+    const unsigned passes = ceil_div(bits, max_bits);
+    for (unsigned p = 0; p < passes; ++p) {
+      const unsigned lo = bits * p / passes;
+      digits.push_back({*m, lo, bits * (p + 1) / passes - lo});
     }
-    return false;
-  });
-  // Apply the permutation out of place (simple and cache-friendly for the
-  // sizes used here).
-  for (auto& col : idx_) {
-    std::vector<index_t> tmp(n);
-    for (nnz_t i = 0; i < n; ++i) tmp[i] = col[perm[i]];
-    col = std::move(tmp);
   }
-  std::vector<value_t> tmp(n);
-  for (nnz_t i = 0; i < n; ++i) tmp[i] = vals_[perm[i]];
-  vals_ = std::move(tmp);
+
+  std::vector<std::uint32_t> perm(n);
+  std::iota(perm.begin(), perm.end(), std::uint32_t{0});
+  if (digits.empty()) return perm;
+  std::vector<std::uint32_t> next(n);
+  // Per-block histograms: the block count is capped so they stay small; any
+  // blocking gives the same stable order.
+  const nnz_t block = std::max(kSortBlock, ceil_div<nnz_t>(n, kMaxSortBlocks));
+  const std::size_t blocks = ceil_div<nnz_t>(n, block);
+  std::vector<std::uint32_t> offsets;  // [block][bucket]
+  std::vector<std::uint32_t> start;    // [bucket]
+  for (const Digit& d : digits) {
+    const index_t* col = idx_[static_cast<std::size_t>(d.mode)].data();
+    const std::size_t buckets = std::size_t{1} << d.bits;
+    const auto mask = static_cast<index_t>(buckets - 1);
+    offsets.assign(blocks * buckets, 0);
+    for_each_block(pool, n, block, [&](std::size_t b, std::size_t lo, std::size_t hi) {
+      std::uint32_t* count = offsets.data() + b * buckets;
+      for (std::size_t r = lo; r < hi; ++r) ++count[(col[perm[r]] >> d.shift) & mask];
+    });
+    // Exclusive offsets in (bucket, block) order: a block's entries of one
+    // bucket land after every earlier block's, which keeps the pass stable.
+    start.assign(buckets, 0);
+    for (std::size_t b = 0; b < blocks; ++b) {
+      for (std::size_t k = 0; k < buckets; ++k) start[k] += offsets[b * buckets + k];
+    }
+    std::uint32_t sum = 0;
+    for (std::uint32_t& s : start) {
+      const std::uint32_t total = s;
+      s = sum;
+      sum += total;
+    }
+    for (std::size_t b = 0; b < blocks; ++b) {
+      for (std::size_t k = 0; k < buckets; ++k) {
+        const std::uint32_t count = offsets[b * buckets + k];
+        offsets[b * buckets + k] = start[k];
+        start[k] += count;
+      }
+    }
+    for_each_block(pool, n, block, [&](std::size_t b, std::size_t lo, std::size_t hi) {
+      std::uint32_t* pos = offsets.data() + b * buckets;
+      for (std::size_t r = lo; r < hi; ++r) {
+        const std::uint32_t x = perm[r];
+        next[pos[(col[x] >> d.shift) & mask]++] = x;
+      }
+    });
+    perm.swap(next);
+  }
+  return perm;
+}
+
+void CooTensor::sort_by_modes(std::span<const int> mode_order, ThreadPool* pool) {
+  const std::vector<std::uint32_t> perm = sort_permutation(mode_order, pool);
+  const auto gather = [&](auto& col) {
+    std::remove_reference_t<decltype(col)> out(col.size());
+    for_each_block(pool, perm.size(), kSortBlock,
+                   [&](std::size_t, std::size_t lo, std::size_t hi) {
+                     for (std::size_t r = lo; r < hi; ++r) out[r] = col[perm[r]];
+                   });
+    col.swap(out);
+  };
+  for (auto& col : idx_) gather(col);
+  gather(vals_);
 }
 
 bool CooTensor::is_sorted_by(std::span<const int> mode_order) const {

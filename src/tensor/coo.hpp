@@ -4,6 +4,7 @@
 // Table II charges at 16 bytes/nnz for a 3-order tensor.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -11,6 +12,12 @@
 #include "util/common.hpp"
 
 namespace ust {
+
+class ThreadPool;
+
+/// Smallest run of non-zeros one worker takes in a sort or gather pass; a
+/// tensor of at most one block is sorted on the caller alone.
+inline constexpr nnz_t kSortBlock = nnz_t{1} << 15;
 
 class CooTensor {
  public:
@@ -33,11 +40,9 @@ class CooTensor {
   /// Appends one non-zero; idx.size() must equal order().
   void push_back(std::span<const index_t> idx, value_t v);
 
+  /// Read-only: push_back is the one writer, so every index stays below its
+  /// mode's size (the sort's digit widths rely on it).
   std::span<const index_t> mode_indices(int m) const {
-    UST_EXPECTS(m >= 0 && m < order());
-    return idx_[static_cast<std::size_t>(m)];
-  }
-  std::span<index_t> mode_indices(int m) {
     UST_EXPECTS(m >= 0 && m < order());
     return idx_[static_cast<std::size_t>(m)];
   }
@@ -47,15 +52,24 @@ class CooTensor {
   index_t index(nnz_t x, int m) const { return idx_[static_cast<std::size_t>(m)][x]; }
   value_t value(nnz_t x) const { return vals_[x]; }
 
-  /// Lexicographically sorts non-zeros by the given mode priority order
-  /// (mode_order[0] is the most significant key). mode_order must be a
-  /// permutation of {0..order-1}.
-  void sort_by_modes(std::span<const int> mode_order);
+  /// Stable lexicographic order of the non-zeros by `mode_order`
+  /// (mode_order[0] is the most significant key; a permutation of
+  /// {0..order-1}): entry r is the input position of the r-th non-zero, and
+  /// equal coordinates keep their input order. One LSD counting sort, one
+  /// pass per digit of at most 16 bits; each pass runs its fixed blocks on
+  /// `pool` when given and the tensor spans more than one block. A stable
+  /// order is unique, so the result never depends on the pool.
+  std::vector<std::uint32_t> sort_permutation(std::span<const int> mode_order,
+                                              ThreadPool* pool = nullptr) const;
+  /// Reorders the non-zeros by sort_permutation(mode_order, pool).
+  void sort_by_modes(std::span<const int> mode_order, ThreadPool* pool = nullptr);
   /// True if non-zeros are sorted lexicographically by mode_order.
   bool is_sorted_by(std::span<const int> mode_order) const;
 
-  /// Sums duplicate coordinates (requires any lexicographic sort first) and
-  /// drops explicit zeros. Returns the number of entries removed.
+  /// Sums duplicate coordinates (requires any lexicographic sort first; after
+  /// sort_by_modes they sum in input order) and drops explicit zeros,
+  /// including sums that cancel to zero. Returns the number of entries
+  /// removed.
   nnz_t coalesce();
 
   /// Number of distinct non-empty fibers when fixing `fixed_modes` (i.e.

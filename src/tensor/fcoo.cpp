@@ -1,11 +1,14 @@
 #include "tensor/fcoo.hpp"
 
 #include <algorithm>
+#include <bit>
+
+#include "util/thread_pool.hpp"
 
 namespace ust {
 
 FcooTensor FcooTensor::build(const CooTensor& coo, std::span<const int> index_modes,
-                             std::span<const int> product_modes) {
+                             std::span<const int> product_modes, ThreadPool* pool) {
   UST_EXPECTS(!index_modes.empty());
   UST_EXPECTS(!product_modes.empty());
   UST_EXPECTS(static_cast<int>(index_modes.size() + product_modes.size()) == coo.order());
@@ -22,52 +25,99 @@ FcooTensor FcooTensor::build(const CooTensor& coo, std::span<const int> index_mo
     }
   }
 
-  // Sort a copy by (index modes..., product modes...) and coalesce, so that
-  // each index-mode segment is contiguous and coordinates are unique.
-  CooTensor sorted = coo;
-  std::vector<int> sort_order;
-  sort_order.insert(sort_order.end(), index_modes.begin(), index_modes.end());
+  // Sort by (index modes..., product modes...), so that each index-mode
+  // segment is contiguous and duplicates are adjacent in input order.
+  std::vector<int> sort_order(index_modes.begin(), index_modes.end());
   sort_order.insert(sort_order.end(), product_modes.begin(), product_modes.end());
-  sorted.sort_by_modes(sort_order);
-  sorted.coalesce();
+  const std::vector<std::uint32_t> perm = coo.sort_permutation(sort_order, pool);
+  const nnz_t n = perm.size();
 
   FcooTensor f;
-  f.dims_ = sorted.dims();
+  f.dims_ = coo.dims();
   f.index_modes_.assign(index_modes.begin(), index_modes.end());
   f.product_modes_.assign(product_modes.begin(), product_modes.end());
 
-  const nnz_t n = sorted.nnz();
-  f.vals_.assign(sorted.values().begin(), sorted.values().end());
-  f.pidx_.resize(product_modes.size());
-  for (std::size_t p = 0; p < product_modes.size(); ++p) {
-    const auto src = sorted.mode_indices(product_modes[p]);
-    f.pidx_[p].assign(src.begin(), src.end());
-  }
+  // Gather straight from the input in sorted order: the values, the
+  // product-mode indices, and the index-mode coordinates the pass below
+  // compares.
+  f.vals_.resize(n);
+  f.pidx_.assign(product_modes.size(), std::vector<index_t>(n));
+  std::vector<std::vector<index_t>> icol(index_modes.size(), std::vector<index_t>(n));
+  const auto gather = [&](auto src, auto& dst, std::size_t lo, std::size_t hi) {
+    for (std::size_t r = lo; r < hi; ++r) dst[r] = src[perm[r]];
+  };
+  for_each_block(pool, n, kSortBlock, [&](std::size_t, std::size_t lo, std::size_t hi) {
+    gather(coo.values(), f.vals_, lo, hi);
+    for (std::size_t p = 0; p < product_modes.size(); ++p) {
+      gather(coo.mode_indices(product_modes[p]), f.pidx_[p], lo, hi);
+    }
+    for (std::size_t m = 0; m < index_modes.size(); ++m) {
+      gather(coo.mode_indices(index_modes[m]), icol[m], lo, hi);
+    }
+  });
 
-  // Head flags: non-zero x starts a segment iff any index-mode coordinate
-  // differs from x-1 (non-zero 0 is always a head).
+  // One pass, compacting in place: sum each run of equal coordinates left to
+  // right (input order), drop entries that are or sum to zero, and flag a
+  // kept entry as a segment head iff an index-mode coordinate differs from
+  // the previous kept entry's (the first kept entry is always a head).
+  const auto same_coord = [&](nnz_t a, nnz_t b) {
+    for (const auto& col : icol) {
+      if (col[a] != col[b]) return false;
+    }
+    for (const auto& col : f.pidx_) {
+      if (col[a] != col[b]) return false;
+    }
+    return true;
+  };
   f.bf_ = BitArray(n);
   f.seg_idx_.resize(index_modes.size());
-  for (nnz_t x = 0; x < n; ++x) {
-    bool head = (x == 0);
-    if (!head) {
-      for (int m : index_modes) {
-        if (sorted.index(x, m) != sorted.index(x - 1, m)) {
-          head = true;
-          break;
-        }
+  nnz_t kept = 0;
+  for (nnz_t x = 0; x < n;) {
+    value_t sum = f.vals_[x];
+    nnz_t y = x + 1;
+    for (; y < n && same_coord(x, y); ++y) sum += f.vals_[y];
+    if (sum != value_t{0}) {
+      bool head = kept == 0;
+      for (auto& col : icol) {
+        head = head || col[x] != col[kept - 1];
+        col[kept] = col[x];
       }
-    }
-    if (head) {
-      f.bf_.set(x, true);
-      for (std::size_t m = 0; m < index_modes.size(); ++m) {
-        f.seg_idx_[m].push_back(sorted.index(x, index_modes[m]));
+      for (auto& col : f.pidx_) col[kept] = col[x];
+      f.vals_[kept] = sum;
+      if (head) {
+        f.bf_.set(kept, true);
+        for (std::size_t m = 0; m < icol.size(); ++m) f.seg_idx_[m].push_back(icol[m][kept]);
       }
+      ++kept;
     }
+    x = y;
   }
-  f.seg_count_ = f.seg_idx_.empty() ? 0 : f.seg_idx_[0].size();
-  UST_ENSURES(n == 0 || f.seg_count_ > 0);
+  f.vals_.resize(kept);
+  for (auto& col : f.pidx_) col.resize(kept);
+  f.bf_.shrink(kept);
+  f.seg_count_ = f.seg_idx_[0].size();
+  UST_ENSURES(kept == 0 || f.seg_count_ > 0);
   return f;
+}
+
+std::vector<index_t> first_segment_per_partition(std::span<const std::uint64_t> bf, nnz_t nnz,
+                                                 unsigned threadlen) {
+  UST_EXPECTS(threadlen >= 1);
+  UST_EXPECTS(bf.size() >= ceil_div<nnz_t>(nnz, 64));
+  std::vector<index_t> first_seg(ceil_div<nnz_t>(nnz, threadlen));
+  if (nnz == 0) return first_seg;
+  // Heads in [1, x] = heads in [0, x] minus bit 0; popcount a word at a time.
+  const nnz_t head0 = bf[0] & 1u;
+  nnz_t word = 0;
+  nnz_t before = 0;  // heads in words [0, word)
+  for (nnz_t t = 0; t < first_seg.size(); ++t) {
+    const nnz_t x = t * threadlen;
+    for (; word < (x >> 6); ++word) before += static_cast<nnz_t>(std::popcount(bf[word]));
+    const std::uint64_t through_x = ~std::uint64_t{0} >> (63 - (x & 63));
+    const nnz_t heads = before + static_cast<nnz_t>(std::popcount(bf[word] & through_x));
+    first_seg[t] = static_cast<index_t>(heads - head0);
+  }
+  return first_seg;
 }
 
 bool FcooTensor::index_mode_dense() const {

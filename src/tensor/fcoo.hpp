@@ -36,32 +36,27 @@ struct Partitioning {
 };
 
 /// Segment id of each threadlen-partition's first element over [0, nnz),
-/// where `head(x)` reads the head flag at position x: the id starts at 0 and
-/// increments at every head strictly after position 0. Shared by UnifiedPlan
-/// (global bf) and the streaming executor's chunk-local plans (bf slice) so
-/// the partition-to-segment convention can never diverge between them.
-template <class HeadFn>
-std::vector<index_t> first_segment_per_partition(nnz_t nnz, unsigned threadlen,
-                                                 const HeadFn& head) {
-  std::vector<index_t> first_seg(ceil_div<nnz_t>(nnz, threadlen));
-  nnz_t seg = 0;
-  for (nnz_t x = 0; x < nnz; ++x) {
-    if (x != 0 && head(x)) ++seg;
-    if (x % threadlen == 0) first_seg[x / threadlen] = static_cast<index_t>(seg);
-  }
-  return first_seg;
-}
+/// where `bf` holds the head flags (bit x of word x/64): the id starts at 0
+/// and increments at every head strictly after position 0. Shared by
+/// UnifiedPlan (global bf) and the streaming executor's chunk-local plans
+/// (bf slice) so the partition-to-segment convention can never diverge
+/// between them. Counts a word at a time.
+std::vector<index_t> first_segment_per_partition(std::span<const std::uint64_t> bf, nnz_t nnz,
+                                                 unsigned threadlen);
 
 class FcooTensor {
  public:
   FcooTensor() = default;
 
   /// Builds F-COO from `coo` for an operation whose index modes and product
-  /// modes are as given (Table I). The input need not be sorted or deduped;
-  /// a sorted copy is made. index_modes and product_modes together must be a
-  /// partition of {0..order-1}.
+  /// modes are as given (Table I). The input need not be sorted or deduped:
+  /// CooTensor::sort_permutation orders it (on `pool` when given), and the
+  /// arrays are gathered from `coo` in that order, with duplicates summed in
+  /// input order and zero sums dropped, exactly as sort_by_modes + coalesce.
+  /// index_modes and product_modes together must be a partition of
+  /// {0..order-1}.
   static FcooTensor build(const CooTensor& coo, std::span<const int> index_modes,
-                          std::span<const int> product_modes);
+                          std::span<const int> product_modes, ThreadPool* pool = nullptr);
 
   int order() const noexcept { return static_cast<int>(dims_.size()); }
   const std::vector<index_t>& dims() const noexcept { return dims_; }

@@ -137,6 +137,18 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
   parallel_for(n, grain, body);
 }
 
+void for_each_block(ThreadPool* pool, std::size_t n, std::size_t block,
+                    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
+  UST_EXPECTS(block >= 1);
+  const std::size_t blocks = ceil_div(n, block);
+  const auto run = [&](std::size_t b) { body(b, b * block, std::min(n, (b + 1) * block)); };
+  if (pool != nullptr) {
+    pool->parallel_for(blocks, 1, run);
+  } else {
+    for (std::size_t b = 0; b < blocks; ++b) run(b);
+  }
+}
+
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;
   return pool;

@@ -81,4 +81,11 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
+/// Splits [0, n) into consecutive blocks of `block` elements (the last one
+/// shorter) and runs body(b, begin, end) once per block: on `pool` when one
+/// is given, else on the caller. A single block runs on the caller without
+/// waking the pool.
+void for_each_block(ThreadPool* pool, std::size_t n, std::size_t block,
+                    const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
+
 }  // namespace ust

@@ -1,7 +1,6 @@
 // Engine-layer tests (DESIGN.md §11): plan acquisition and sharing through
-// the engine's per-device caches (SpTTV reusing SpMTTKRP entries), uncached
-// plan acquisition (use_engine_cache=false, device memory released with the
-// last holder), submit() job admission (round-robin placement, sim pinning,
+// the engine's per-device caches (SpTTV reusing SpMTTKRP entries), submit()
+// job admission (round-robin placement, sim pinning,
 // bounded queue with typed QueueFull/ShuttingDown backpressure, exception
 // propagation, sharded-job rejection, the completion callback and the drain
 // at destruction), prewarm, plan forgetting, and the aggregated
@@ -58,62 +57,6 @@ TEST(Engine, PlanCacheSharedAcrossOpsIncludingTtv) {
   const auto factors = test::random_factors(t, 5, 7);
   const DenseMatrix want = baseline::mttkrp_reference(t, 0, factors);
   EXPECT_LT(test::relative_error(mttkrp.run(factors), want), test::kUnifiedTol);
-}
-
-TEST(Engine, UncachedPlansReleaseDeviceMemoryWithLastHolder) {
-  sim::Device dev;
-  Prng rng(102);
-  const CooTensor t = test::random_coo3(rng, 16, 500);
-  const auto factors = test::random_factors(t, 4, 9);
-  {
-    Engine eng(dev);
-    // use_engine_cache=false keeps the plan out of the engine caches: two
-    // acquisitions build two plans, results stay bitwise equal.
-    const auto pa = eng.plan(t, OpKind::kSpMTTKRP, 0, Partitioning{}, {}, nullptr,
-                             /*use_engine_cache=*/false);
-    const auto pb = eng.plan(t, OpKind::kSpMTTKRP, 0, Partitioning{}, {}, nullptr,
-                             /*use_engine_cache=*/false);
-    EXPECT_NE(pa.get(), pb.get());
-    EXPECT_EQ(eng.stats().cache_total.entries, 0u);
-    EXPECT_GT(dev.bytes_in_use(), 0u);
-  }
-  // Plans gone -> engine gone -> every device byte released.
-  EXPECT_EQ(dev.bytes_in_use(), 0u);
-}
-
-TEST(Engine, CachedAndUncachedPlansMatchBitwise) {
-  sim::Device dev;
-  Engine eng(dev);
-  Prng rng(103);
-  const CooTensor t = test::random_coo3(rng, 24, 1200);
-  const Partitioning part{.threadlen = 4, .block_size = 32};
-  const auto factors = test::random_factors(t, 6, 11);
-
-  // Front-end op (engine-cached plan) vs a hand-built request over an
-  // uncached plan: same kernel, bitwise-identical output.
-  core::UnifiedMttkrp cached(eng, t, 1, part);
-  const DenseMatrix want = cached.run(factors);
-
-  const auto plan = eng.plan(t, OpKind::kSpMTTKRP, 1, part, {}, nullptr,
-                             /*use_engine_cache=*/false);
-  DenseMatrix out(t.dim(1), 6);
-  OpRequest req;
-  req.plan = plan;
-  for (int m : plan->product_modes) {
-    const DenseMatrix& f = factors[static_cast<std::size_t>(m)];
-    req.inputs.push_back({f.data(), f.rows(), f.cols()});
-  }
-  req.out = out.data();
-  req.out_rows = out.rows();
-  req.out_cols = out.cols();
-  eng.run(req);
-  EXPECT_EQ(DenseMatrix::max_abs_diff(want, out), 0.0);
-
-  core::UnifiedTtmc tc(eng, t, 0, part);
-  core::UnifiedTtmc tu(eng, t, 0, part);
-  EXPECT_EQ(DenseMatrix::max_abs_diff(tc.run(factors[1], factors[2]),
-                                      tu.run(factors[1], factors[2])),
-            0.0);
 }
 
 TEST(Engine, SubmitMatchesRunBitwiseAndRoundRobins) {

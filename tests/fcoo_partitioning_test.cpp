@@ -116,5 +116,28 @@ TEST(FcooStartFlags, PopcountBoundsAgainstSegments) {
   }
 }
 
+TEST(FcooStartFlags, FirstSegmentPerPartitionCountsHeadsAfterPositionZero) {
+  // The word-at-a-time count against its definition, bit by bit: partition
+  // t's id is the number of heads in [1, t * threadlen]. Random words, bit 0
+  // set or not (a chunk-local slice may start mid-segment), threadlens
+  // around and beyond the 64-bit word.
+  Prng rng(0x5E6);
+  for (int trial = 0; trial < 40; ++trial) {
+    const nnz_t nnz = rng.next_below(700);
+    std::vector<std::uint64_t> words(ceil_div<nnz_t>(nnz, 64) + 1);
+    for (auto& w : words) w = rng.next_u64() & rng.next_u64();
+    const unsigned threadlen = 1 + rng.next_index(trial % 2 == 0 ? 8 : 150);
+    const auto bit = [&](nnz_t x) { return ((words[x >> 6] >> (x & 63)) & 1u) != 0; };
+    std::vector<index_t> want(ceil_div<nnz_t>(nnz, threadlen));
+    index_t seg = 0;
+    for (nnz_t x = 0; x < nnz; ++x) {
+      if (x != 0 && bit(x)) ++seg;
+      if (x % threadlen == 0) want[x / threadlen] = seg;
+    }
+    EXPECT_EQ(first_segment_per_partition(words, nnz, threadlen), want)
+        << "trial " << trial << ", nnz " << nnz << ", threadlen " << threadlen;
+  }
+}
+
 }  // namespace
 }  // namespace ust

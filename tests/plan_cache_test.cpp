@@ -9,6 +9,7 @@
 #include "engine/engine.hpp"
 #include "sim/device.hpp"
 #include "test_support.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ust::pipeline {
 namespace {
@@ -261,20 +262,37 @@ TEST(PlanCache, PurgeDeviceDropsOnlyThatDevicesEntries) {
   EXPECT_EQ(rebuilt, 1);
 }
 
+TEST(PlanCache, FingerprintIsIndependentOfThePool) {
+  // Three hash blocks per column: every pool width gives the serial value,
+  // and a change in the last block of the values changes it.
+  const CooTensor t = io::generate_uniform({90, 80, 70}, 150000, 6);
+  const std::uint64_t fp = coo_fingerprint(t);
+  for (const unsigned width : {1u, 2u, 3u, 4u, 8u}) {
+    ThreadPool pool(width);
+    EXPECT_EQ(coo_fingerprint(t, &pool), fp) << "pool " << width;
+  }
+  CooTensor u = t;
+  u.values()[t.nnz() - 1] += 1.0f;
+  EXPECT_NE(coo_fingerprint(u), fp);
+}
+
 TEST(PlanCache, OpsShareCachedPlansAndAgreeWithUncached) {
   sim::Device dev;
   Prng rng(17);
   const CooTensor t = test::random_coo3(rng, 20, 800);
   const auto factors = test::random_factors(t, 6, 21);
-  PlanCache cache(1u << 30);
   engine::Engine eng(dev);
 
-  core::UnifiedMttkrp cold(eng, t, 0, {}, {}, &cache);
-  core::UnifiedMttkrp warm(eng, t, 0, {}, {}, &cache);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
+  core::UnifiedMttkrp cold(eng, t, 0, {});
+  core::UnifiedMttkrp warm(eng, t, 0, {});
+  EXPECT_EQ(eng.stats().cache_total.misses, 1u);
+  EXPECT_EQ(eng.stats().cache_total.hits, 1u);
 
-  core::UnifiedMttkrp uncached(eng, t, 0, {}, {}, nullptr);
+  // A second engine's cache is empty, so its plan is built afresh.
+  sim::Device fresh_dev;
+  engine::Engine fresh(fresh_dev);
+  core::UnifiedMttkrp uncached(fresh, t, 0, {});
+  EXPECT_EQ(fresh.stats().cache_total.misses, 1u);
   const DenseMatrix a = cold.run(factors);
   const DenseMatrix b = warm.run(factors);
   const DenseMatrix c = uncached.run(factors);
@@ -282,8 +300,10 @@ TEST(PlanCache, OpsShareCachedPlansAndAgreeWithUncached) {
   EXPECT_EQ(DenseMatrix::max_abs_diff(a, c), 0.0);
 
   // SpTTM caches its host fiber coordinates alongside the device plan.
-  core::UnifiedSpttm s1(eng, t, 2, {}, {}, &cache);
-  core::UnifiedSpttm s2(eng, t, 2, {}, {}, &cache);
+  core::UnifiedSpttm s1(eng, t, 2, {});
+  core::UnifiedSpttm s2(eng, t, 2, {});
+  EXPECT_EQ(eng.stats().cache_total.misses, 2u);
+  EXPECT_EQ(eng.stats().cache_total.hits, 2u);
   const DenseMatrix u = test::random_matrix(t.dim(2), 5, 33);
   const SemiSparseTensor y1 = s1.run(u);
   const SemiSparseTensor y2 = s2.run(u);

@@ -570,6 +570,51 @@ TEST(Service, DeadlineMissRespondsTimeoutAndKeepsServing) {
   server.stop();
 }
 
+TEST(Service, LateResultOfAClosedSessionNeverReachesTheFdsNextOwner) {
+  // Tenant 1 submits a slow SpTTMc and disconnects while it runs. Once the
+  // server has closed that session, tenant 2 connects, and the kernel hands
+  // the server the freed fd number again. When tenant 1's job completes,
+  // its result must be dropped: both of tenant 2's pings are answered by
+  // empty ping responses, never by tenant 1's matrix.
+  engine::Engine eng(engine::EngineOptions{.num_devices = 1});
+  TensorOpServer server(eng);
+  server.start();
+  const CooTensor t = io::generate_uniform({64, 64, 64}, 200000, 0xFD);
+  Prng rng(0xFD2);
+  std::vector<DenseMatrix> wide;
+  for (int m = 1; m < 3; ++m) {
+    DenseMatrix f(t.dim(m), 128);
+    f.fill_random(rng, -1.0f, 1.0f);
+    wide.push_back(std::move(f));
+  }
+  const auto wait_for = [](const auto& done) {
+    for (const auto give_up = Clock::now() + std::chrono::seconds(300); Clock::now() < give_up;) {
+      if (done()) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  };
+  {
+    Client c1("127.0.0.1", server.port(), 1);
+    ASSERT_TRUE(c1.upload_tensor(1, t).ok());
+    (void)c1.send_run(1, WireOp::kSpTTMc, 0, kPart, wide);
+    ASSERT_TRUE(wait_for([&] { return eng.stats().jobs_submitted == 1; }));
+  }
+  ASSERT_TRUE(wait_for([&] { return server.stats().sessions_open == 0; }));
+  Client c2("127.0.0.1", server.port(), 2);
+  ASSERT_TRUE(wait_for([&] { return server.stats().sessions_open == 1; }));
+  ASSERT_EQ(eng.stats().jobs_completed, 0u) << "the job finished before tenant 2 connected";
+  ASSERT_TRUE(wait_for([&] { return eng.stats().jobs_completed == 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // let the loop harvest it
+  for (std::uint64_t id = 1; id <= 2; ++id) {
+    const Response pong = c2.ping();
+    EXPECT_TRUE(pong.ok()) << status_name(pong.header.status);
+    EXPECT_EQ(pong.header.request_id, id);
+    EXPECT_TRUE(pong.body.empty()) << "tenant 2 received " << pong.body.size() << " bytes";
+  }
+  server.stop();
+}
+
 TEST(Service, StatsRequestMergesEngineAndServerCounters) {
   engine::Engine eng;
   TensorOpServer server(eng);
