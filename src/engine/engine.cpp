@@ -242,7 +242,7 @@ std::shared_ptr<const OpPlan> Engine::plan(const CooTensor& tensor, OpKind kind,
   // are shared across ops and tensors, so keys must carry the tensor
   // identity. acquire_plan builds outside the cache lock and keys on the
   // *mode plan's* op, so SpTTV shares SpMTTKRP's entries -- identical layout.
-  p->tensor_fp = pipeline::coo_fingerprint(tensor, &dev0->pool());
+  p->tensor_fp = pipeline::coo_fingerprint(tensor);
   p->bundle = pipeline::acquire_plan(*dev0, tensor, mp, part, *cache,
                                      /*want_coords=*/kind == OpKind::kSpTTM,
                                      p->tensor_fp);

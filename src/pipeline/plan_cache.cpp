@@ -1,11 +1,7 @@
 #include "pipeline/plan_cache.hpp"
 
-#include <algorithm>
-#include <bit>
-
 #include "pipeline/stream_executor.hpp"
 #include "tensor/fcoo.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ust::pipeline {
 
@@ -13,33 +9,10 @@ namespace {
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-/// Elements per independently hashed block of a fingerprinted array.
-constexpr nnz_t kFingerprintBlock = nnz_t{1} << 16;
 
 inline void mix(std::uint64_t& h, std::uint64_t v) {
   h ^= v;
   h *= kFnvPrime;
-}
-
-/// FNV-1a over the 32-bit words of `block` in four interleaved lanes (word
-/// i feeds lane i mod 4), so four multiply chains run side by side; the
-/// lanes then fold into one hash.
-template <class T>
-std::uint64_t hash_block(std::span<const T> block) {
-  static_assert(sizeof(T) == sizeof(std::uint32_t));
-  std::uint64_t lane[4] = {kFnvOffset, kFnvOffset, kFnvOffset, kFnvOffset};
-  const auto word = [&](std::size_t i) { return std::bit_cast<std::uint32_t>(block[i]); };
-  std::size_t i = 0;
-  for (; i + 4 <= block.size(); i += 4) {
-    mix(lane[0], word(i));
-    mix(lane[1], word(i + 1));
-    mix(lane[2], word(i + 2));
-    mix(lane[3], word(i + 3));
-  }
-  for (; i < block.size(); ++i) mix(lane[i % 4], word(i));
-  std::uint64_t h = kFnvOffset;
-  for (const std::uint64_t l : lane) mix(h, l);
-  return h;
 }
 
 }  // namespace
@@ -51,30 +24,20 @@ std::size_t CachedPlan::bytes() const {
   return b;
 }
 
-std::uint64_t coo_fingerprint(const CooTensor& tensor, ThreadPool* pool) {
-  // One hash per fixed block of every index column and of the value bits,
-  // so the blocks hash in parallel; then one over the shape and the block
-  // hashes in order. The value depends on the data and kFingerprintBlock
-  // only, never on the pool.
-  const nnz_t n = tensor.nnz();
-  const std::size_t per_col = ceil_div<nnz_t>(n, kFingerprintBlock);
-  const auto cols = static_cast<std::size_t>(tensor.order()) + 1;
-  std::vector<std::uint64_t> parts(per_col * cols);
-  for_each_block(per_col > 1 ? pool : nullptr, parts.size(), 1,
-                 [&](std::size_t i, std::size_t, std::size_t) {
-                   const std::size_t col = i / per_col;
-                   const nnz_t lo = (i % per_col) * kFingerprintBlock;
-                   const nnz_t len = std::min<nnz_t>(kFingerprintBlock, n - lo);
-                   parts[i] = col < cols - 1
-                                  ? hash_block(tensor.mode_indices(static_cast<int>(col))
-                                                   .subspan(lo, len))
-                                  : hash_block(tensor.values().subspan(lo, len));
-                 });
+std::uint64_t coo_fingerprint(const CooTensor& tensor) {
   std::uint64_t h = kFnvOffset;
   mix(h, static_cast<std::uint64_t>(tensor.order()));
   for (index_t d : tensor.dims()) mix(h, d);
-  mix(h, n);
-  for (std::uint64_t part : parts) mix(h, part);
+  mix(h, tensor.nnz());
+  for (int m = 0; m < tensor.order(); ++m) {
+    for (index_t i : tensor.mode_indices(m)) mix(h, i);
+  }
+  for (value_t v : tensor.values()) {
+    std::uint32_t bits;
+    static_assert(sizeof(bits) == sizeof(v));
+    __builtin_memcpy(&bits, &v, sizeof(bits));
+    mix(h, bits);
+  }
   return h;
 }
 

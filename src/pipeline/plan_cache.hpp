@@ -27,10 +27,9 @@ namespace ust::pipeline {
 struct ChunkPlan;
 
 /// Content fingerprint of a COO tensor in storage order: hashes dims, nnz,
-/// every index array and the raw value bits (FNV-1a over words, per fixed
-/// block, with the blocks hashed on `pool` when given). Two tensors with
-/// equal fingerprints are treated as identical by the cache.
-std::uint64_t coo_fingerprint(const CooTensor& tensor, ThreadPool* pool = nullptr);
+/// every index array and the raw value bits (FNV-1a over words). Two
+/// tensors with equal fingerprints are treated as identical by the cache.
+std::uint64_t coo_fingerprint(const CooTensor& tensor);
 
 /// What the cache stores per key. Whole-tensor entries (acquire_plan) carry
 /// the device-resident UnifiedPlan plus the host copies of the per-segment

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <limits>
 #include <numeric>
-#include <type_traits>
 #include <unordered_set>
 
 #include "util/thread_pool.hpp"
@@ -125,18 +124,33 @@ std::vector<std::uint32_t> CooTensor::sort_permutation(std::span<const int> mode
   return perm;
 }
 
-void CooTensor::sort_by_modes(std::span<const int> mode_order, ThreadPool* pool) {
+void CooTensor::sort_by_modes(std::span<const int> mode_order) {
+  const std::vector<std::uint32_t> perm = sort_permutation(mode_order);
+  const nnz_t n = perm.size();
+  // Apply the permutation out of place (simple and cache-friendly for the
+  // sizes used here).
+  for (auto& col : idx_) {
+    std::vector<index_t> tmp(n);
+    for (nnz_t i = 0; i < n; ++i) tmp[i] = col[perm[i]];
+    col = std::move(tmp);
+  }
+  std::vector<value_t> tmp(n);
+  for (nnz_t i = 0; i < n; ++i) tmp[i] = vals_[perm[i]];
+  vals_ = std::move(tmp);
+}
+
+CooTensor CooTensor::sorted_copy(std::span<const int> mode_order, ThreadPool* pool) const {
   const std::vector<std::uint32_t> perm = sort_permutation(mode_order, pool);
-  const auto gather = [&](auto& col) {
-    std::remove_reference_t<decltype(col)> out(col.size());
-    for_each_block(pool, perm.size(), kSortBlock,
-                   [&](std::size_t, std::size_t lo, std::size_t hi) {
-                     for (std::size_t r = lo; r < hi; ++r) out[r] = col[perm[r]];
-                   });
-    col.swap(out);
-  };
-  for (auto& col : idx_) gather(col);
-  gather(vals_);
+  CooTensor out(dims_);
+  for (auto& col : out.idx_) col.resize(perm.size());
+  out.vals_.resize(perm.size());
+  for_each_block(pool, perm.size(), kSortBlock, [&](std::size_t, std::size_t lo, std::size_t hi) {
+    for (std::size_t m = 0; m < idx_.size(); ++m) {
+      for (std::size_t r = lo; r < hi; ++r) out.idx_[m][r] = idx_[m][perm[r]];
+    }
+    for (std::size_t r = lo; r < hi; ++r) out.vals_[r] = vals_[perm[r]];
+  });
+  return out;
 }
 
 bool CooTensor::is_sorted_by(std::span<const int> mode_order) const {

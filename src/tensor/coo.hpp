@@ -61,8 +61,8 @@ class CooTensor {
   /// order is unique, so the result never depends on the pool.
   std::vector<std::uint32_t> sort_permutation(std::span<const int> mode_order,
                                               ThreadPool* pool = nullptr) const;
-  /// Reorders the non-zeros by sort_permutation(mode_order, pool).
-  void sort_by_modes(std::span<const int> mode_order, ThreadPool* pool = nullptr);
+  /// Reorders the non-zeros by sort_permutation(mode_order).
+  void sort_by_modes(std::span<const int> mode_order);
   /// True if non-zeros are sorted lexicographically by mode_order.
   bool is_sorted_by(std::span<const int> mode_order) const;
 
@@ -91,6 +91,14 @@ class CooTensor {
   void validate() const;
 
  private:
+  // FcooTensor::build sorts a copy through sorted_copy and moves its
+  // product-mode columns and values out.
+  friend class FcooTensor;
+
+  /// A copy with the non-zeros in sort_permutation(mode_order, pool) order,
+  /// gathered in fixed blocks on `pool` too.
+  CooTensor sorted_copy(std::span<const int> mode_order, ThreadPool* pool) const;
+
   std::vector<index_t> dims_;
   std::vector<std::vector<index_t>> idx_;  // idx_[mode][nonzero]
   std::vector<value_t> vals_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "util/thread_pool.hpp"
-
 namespace ust {
 
 FcooTensor FcooTensor::build(const CooTensor& coo, std::span<const int> index_modes,
@@ -25,78 +23,49 @@ FcooTensor FcooTensor::build(const CooTensor& coo, std::span<const int> index_mo
     }
   }
 
-  // Sort by (index modes..., product modes...), so that each index-mode
-  // segment is contiguous and duplicates are adjacent in input order.
+  // Sort a copy by (index modes..., product modes...) and coalesce, so that
+  // each index-mode segment is contiguous and coordinates are unique.
   std::vector<int> sort_order(index_modes.begin(), index_modes.end());
   sort_order.insert(sort_order.end(), product_modes.begin(), product_modes.end());
-  const std::vector<std::uint32_t> perm = coo.sort_permutation(sort_order, pool);
-  const nnz_t n = perm.size();
+  CooTensor sorted = coo.sorted_copy(sort_order, pool);
+  sorted.coalesce();
 
   FcooTensor f;
-  f.dims_ = coo.dims();
+  f.dims_ = sorted.dims();
   f.index_modes_.assign(index_modes.begin(), index_modes.end());
   f.product_modes_.assign(product_modes.begin(), product_modes.end());
 
-  // Gather straight from the input in sorted order: the values, the
-  // product-mode indices, and the index-mode coordinates the pass below
-  // compares.
-  f.vals_.resize(n);
-  f.pidx_.assign(product_modes.size(), std::vector<index_t>(n));
-  std::vector<std::vector<index_t>> icol(index_modes.size(), std::vector<index_t>(n));
-  const auto gather = [&](auto src, auto& dst, std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) dst[r] = src[perm[r]];
-  };
-  for_each_block(pool, n, kSortBlock, [&](std::size_t, std::size_t lo, std::size_t hi) {
-    gather(coo.values(), f.vals_, lo, hi);
-    for (std::size_t p = 0; p < product_modes.size(); ++p) {
-      gather(coo.mode_indices(product_modes[p]), f.pidx_[p], lo, hi);
-    }
-    for (std::size_t m = 0; m < index_modes.size(); ++m) {
-      gather(coo.mode_indices(index_modes[m]), icol[m], lo, hi);
-    }
-  });
+  // The values and product-mode indices move out of the sorted copy; its
+  // index-mode columns stay for the head flags.
+  const nnz_t n = sorted.nnz();
+  f.vals_ = std::move(sorted.vals_);
+  for (int m : product_modes) {
+    f.pidx_.push_back(std::move(sorted.idx_[static_cast<std::size_t>(m)]));
+  }
 
-  // One pass, compacting in place: sum each run of equal coordinates left to
-  // right (input order), drop entries that are or sum to zero, and flag a
-  // kept entry as a segment head iff an index-mode coordinate differs from
-  // the previous kept entry's (the first kept entry is always a head).
-  const auto same_coord = [&](nnz_t a, nnz_t b) {
-    for (const auto& col : icol) {
-      if (col[a] != col[b]) return false;
-    }
-    for (const auto& col : f.pidx_) {
-      if (col[a] != col[b]) return false;
-    }
-    return true;
-  };
+  // Head flags: non-zero x starts a segment iff any index-mode coordinate
+  // differs from x-1 (non-zero 0 is always a head).
   f.bf_ = BitArray(n);
   f.seg_idx_.resize(index_modes.size());
-  nnz_t kept = 0;
-  for (nnz_t x = 0; x < n;) {
-    value_t sum = f.vals_[x];
-    nnz_t y = x + 1;
-    for (; y < n && same_coord(x, y); ++y) sum += f.vals_[y];
-    if (sum != value_t{0}) {
-      bool head = kept == 0;
-      for (auto& col : icol) {
-        head = head || col[x] != col[kept - 1];
-        col[kept] = col[x];
+  for (nnz_t x = 0; x < n; ++x) {
+    bool head = (x == 0);
+    if (!head) {
+      for (int m : index_modes) {
+        if (sorted.index(x, m) != sorted.index(x - 1, m)) {
+          head = true;
+          break;
+        }
       }
-      for (auto& col : f.pidx_) col[kept] = col[x];
-      f.vals_[kept] = sum;
-      if (head) {
-        f.bf_.set(kept, true);
-        for (std::size_t m = 0; m < icol.size(); ++m) f.seg_idx_[m].push_back(icol[m][kept]);
-      }
-      ++kept;
     }
-    x = y;
+    if (head) {
+      f.bf_.set(x, true);
+      for (std::size_t m = 0; m < index_modes.size(); ++m) {
+        f.seg_idx_[m].push_back(sorted.index(x, index_modes[m]));
+      }
+    }
   }
-  f.vals_.resize(kept);
-  for (auto& col : f.pidx_) col.resize(kept);
-  f.bf_.shrink(kept);
-  f.seg_count_ = f.seg_idx_[0].size();
-  UST_ENSURES(kept == 0 || f.seg_count_ > 0);
+  f.seg_count_ = f.seg_idx_.empty() ? 0 : f.seg_idx_[0].size();
+  UST_ENSURES(n == 0 || f.seg_count_ > 0);
   return f;
 }
 

@@ -50,11 +50,10 @@ class FcooTensor {
 
   /// Builds F-COO from `coo` for an operation whose index modes and product
   /// modes are as given (Table I). The input need not be sorted or deduped:
-  /// CooTensor::sort_permutation orders it (on `pool` when given), and the
-  /// arrays are gathered from `coo` in that order, with duplicates summed in
-  /// input order and zero sums dropped, exactly as sort_by_modes + coalesce.
-  /// index_modes and product_modes together must be a partition of
-  /// {0..order-1}.
+  /// a copy is sorted (the sort and its gather run on `pool` when given) and
+  /// coalesced, so duplicates sum in input order and zero sums drop, exactly
+  /// as sort_by_modes + coalesce. index_modes and product_modes together
+  /// must be a partition of {0..order-1}.
   static FcooTensor build(const CooTensor& coo, std::span<const int> index_modes,
                           std::span<const int> product_modes, ThreadPool* pool = nullptr);
 

@@ -36,14 +36,6 @@ class BitArray {
       words_[i >> 6] &= ~mask;
   }
 
-  /// Drops every bit from position n on (n <= size()).
-  void shrink(std::size_t n) {
-    UST_EXPECTS(n <= size_);
-    size_ = n;
-    words_.resize(ceil_div<std::size_t>(n, 64));
-    trim();
-  }
-
   /// Number of set bits.
   std::size_t popcount() const {
     std::size_t c = 0;

@@ -94,17 +94,24 @@ void ThreadPool::parallel_ranges(
   job.total = n;
   job.grain = grain;
   job.body_range = body;
+  bool busy = false;
   {
     std::scoped_lock lock(mutex_);
-    if (current_ != nullptr) {
-      // Nested parallel_for from inside a job: degrade to serial rather than
-      // deadlock. (The simulator never nests; baselines may.)
-      const unsigned rank = size();
-      for (std::size_t b = 0; b < n; b += grain) body(rank, b, std::min(b + grain, n));
-      return;
+    busy = current_ != nullptr;
+    if (!busy) {
+      current_ = &job;
+      ++job_epoch_;
     }
-    current_ = &job;
-    ++job_epoch_;
+  }
+  if (busy) {
+    // The pool runs another job: a nested call from inside it (baselines may
+    // nest), or another thread's (a plan build beside a device's kernel).
+    // Degrade to serial rather than deadlock, outside the lock, so neither
+    // job waits on the other. Rank size() is safe: every caller's per-rank
+    // scratch is its own.
+    const unsigned rank = size();
+    for (std::size_t b = 0; b < n; b += grain) body(rank, b, std::min(b + grain, n));
+    return;
   }
   cv_.notify_all();
 

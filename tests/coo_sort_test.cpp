@@ -2,9 +2,9 @@
 // CooTensor::sort_permutation's stable LSD counting sort against
 // std::stable_sort with the lexicographic comparator, at pool widths
 // 1/2/3/4/8 and across orders, duplicate-heavy data, size-1 modes, modes
-// wider than one 16-bit digit and nnz 0 and 1; FcooTensor::build's copy-free
-// gather against sort_by_modes + coalesce on a copy; and duplicate
-// coalescing pinned to input order.
+// wider than one 16-bit digit and nnz 0 and 1; FcooTensor::build, whose
+// sort and gather run on the pool, against sort_by_modes + coalesce on a
+// copy; and duplicate coalescing pinned to input order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -115,13 +115,10 @@ TEST(CooSort, SortByModesGathersTheStableOrder) {
       for (int m = 0; m < t.order(); ++m) idx[static_cast<std::size_t>(m)] = t.index(x, m);
       want.push_back(idx, t.value(x));
     }
-    for (const unsigned width : kPoolWidths) {
-      ThreadPool pool(width);
-      CooTensor got = t;
-      got.sort_by_modes(order, &pool);
-      EXPECT_TRUE(got.is_sorted_by(order));
-      expect_same_coo(got, want);
-    }
+    CooTensor got = t;
+    got.sort_by_modes(order);
+    EXPECT_TRUE(got.is_sorted_by(order));
+    expect_same_coo(got, want);
   }
 }
 
@@ -209,19 +206,19 @@ TEST(CooSort, DuplicatesSumInInputOrder) {
       EXPECT_EQ(find(c, dropped).first, 0) << what;
       EXPECT_EQ(find(c, kept), std::make_pair(1, 5.0f)) << what;
     };
+    const std::string shape = "order " + std::to_string(order);
+    std::vector<int> modes(dims.size());
+    std::iota(modes.begin(), modes.end(), 0);
+    for (int rotate = 0; rotate < order; ++rotate) {
+      CooTensor sorted = t;
+      sorted.sort_by_modes(modes);
+      sorted.coalesce();
+      expect_input_order(sorted, "coalesce, " + shape);
+      std::rotate(modes.begin(), modes.begin() + 1, modes.end());
+    }
     for (const unsigned width : kPoolWidths) {
       ThreadPool pool(width);
-      const std::string where = "order " + std::to_string(order) + ", pool " +
-                                std::to_string(width);
-      std::vector<int> modes(dims.size());
-      std::iota(modes.begin(), modes.end(), 0);
-      for (int rotate = 0; rotate < order; ++rotate) {
-        CooTensor sorted = t;
-        sorted.sort_by_modes(modes, &pool);
-        sorted.coalesce();
-        expect_input_order(sorted, "coalesce, " + where);
-        std::rotate(modes.begin(), modes.begin() + 1, modes.end());
-      }
+      const std::string where = shape + ", pool " + std::to_string(width);
       for (int mode = 0; mode < order; ++mode) {
         const auto mp = core::make_mode_plan_spmttkrp(order, mode);
         const FcooTensor f = FcooTensor::build(t, mp.index_modes, mp.product_modes, &pool);

@@ -9,7 +9,6 @@
 #include "engine/engine.hpp"
 #include "sim/device.hpp"
 #include "test_support.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ust::pipeline {
 namespace {
@@ -260,20 +259,6 @@ TEST(PlanCache, PurgeDeviceDropsOnlyThatDevicesEntries) {
     return build_plan(dev_a, t, 0, {});
   });
   EXPECT_EQ(rebuilt, 1);
-}
-
-TEST(PlanCache, FingerprintIsIndependentOfThePool) {
-  // Three hash blocks per column: every pool width gives the serial value,
-  // and a change in the last block of the values changes it.
-  const CooTensor t = io::generate_uniform({90, 80, 70}, 150000, 6);
-  const std::uint64_t fp = coo_fingerprint(t);
-  for (const unsigned width : {1u, 2u, 3u, 4u, 8u}) {
-    ThreadPool pool(width);
-    EXPECT_EQ(coo_fingerprint(t, &pool), fp) << "pool " << width;
-  }
-  CooTensor u = t;
-  u.values()[t.nnz() - 1] += 1.0f;
-  EXPECT_NE(coo_fingerprint(u), fp);
 }
 
 TEST(PlanCache, OpsShareCachedPlansAndAgreeWithUncached) {

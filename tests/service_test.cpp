@@ -7,7 +7,10 @@
 // framing, and abrupt disconnects mid-frame.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <future>
+#include <memory>
 #include <thread>
 
 #include "engine/engine.hpp"
@@ -571,22 +574,37 @@ TEST(Service, DeadlineMissRespondsTimeoutAndKeepsServing) {
 }
 
 TEST(Service, LateResultOfAClosedSessionNeverReachesTheFdsNextOwner) {
-  // Tenant 1 submits a slow SpTTMc and disconnects while it runs. Once the
-  // server has closed that session, tenant 2 connects, and the kernel hands
-  // the server the freed fd number again. When tenant 1's job completes,
-  // its result must be dropped: both of tenant 2's pings are answered by
-  // empty ping responses, never by tenant 1's matrix.
+  // Tenant 1 submits an SpTTMc and disconnects while it waits behind a job
+  // that holds the engine's only worker. Once the server has closed that
+  // session, tenant 2 connects, and the kernel hands the server the freed fd
+  // number again. Only then is the worker released. Tenant 1's result must
+  // be dropped: both of tenant 2's pings are answered by empty ping
+  // responses, never by tenant 1's matrix.
+  // The holding job's completion callback keeps the worker until
+  // `released`. The flags outlive the engine's drain, and a guard sets
+  // `released` on every way out of the test.
+  std::atomic<bool> holding{false}, released{false};
   engine::Engine eng(engine::EngineOptions{.num_devices = 1});
   TensorOpServer server(eng);
   server.start();
-  const CooTensor t = io::generate_uniform({64, 64, 64}, 200000, 0xFD);
-  Prng rng(0xFD2);
-  std::vector<DenseMatrix> wide;
-  for (int m = 1; m < 3; ++m) {
-    DenseMatrix f(t.dim(m), 128);
-    f.fill_random(rng, -1.0f, 1.0f);
-    wide.push_back(std::move(f));
-  }
+  const std::unique_ptr<std::atomic<bool>, decltype([](std::atomic<bool>* f) { *f = true; })>
+      release_on_exit(&released);
+  Prng rng(0xFD);
+  const CooTensor t = test::random_coo3(rng, 20, 800);
+  const Golden g = compute_golden(eng, t, WireOp::kSpTTMc, 0, 4, 0xFD2);
+  DenseMatrix held_out(g.expected.rows(), g.expected.cols());
+  engine::OpRequest hold;
+  hold.plan = eng.plan(t, engine::OpKind::kSpTTMc, 0, kPart);
+  for (const DenseMatrix& m : g.inputs) hold.inputs.push_back({m.data(), m.rows(), m.cols()});
+  hold.out = held_out.data();
+  hold.out_rows = held_out.rows();
+  hold.out_cols = held_out.cols();
+  std::future<void> held =
+      eng.submit(std::move(hold), nullptr, engine::Admission::kBlock, [&] {
+        holding = true;
+        while (!released) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      });
+
   const auto wait_for = [](const auto& done) {
     for (const auto give_up = Clock::now() + std::chrono::seconds(300); Clock::now() < give_up;) {
       if (done()) return true;
@@ -594,17 +612,20 @@ TEST(Service, LateResultOfAClosedSessionNeverReachesTheFdsNextOwner) {
     }
     return false;
   };
+  ASSERT_TRUE(wait_for([&] { return holding.load(); }));
+  const std::uint64_t submitted = eng.stats().jobs_submitted;
   {
     Client c1("127.0.0.1", server.port(), 1);
     ASSERT_TRUE(c1.upload_tensor(1, t).ok());
-    (void)c1.send_run(1, WireOp::kSpTTMc, 0, kPart, wide);
-    ASSERT_TRUE(wait_for([&] { return eng.stats().jobs_submitted == 1; }));
+    (void)c1.send_run(1, WireOp::kSpTTMc, 0, kPart, g.inputs);
+    ASSERT_TRUE(wait_for([&] { return eng.stats().jobs_submitted == submitted + 1; }));
   }
   ASSERT_TRUE(wait_for([&] { return server.stats().sessions_open == 0; }));
   Client c2("127.0.0.1", server.port(), 2);
   ASSERT_TRUE(wait_for([&] { return server.stats().sessions_open == 1; }));
-  ASSERT_EQ(eng.stats().jobs_completed, 0u) << "the job finished before tenant 2 connected";
-  ASSERT_TRUE(wait_for([&] { return eng.stats().jobs_completed == 1; }));
+  released = true;
+  held.get();
+  ASSERT_TRUE(wait_for([&] { return eng.stats().jobs_completed == submitted + 1; }));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));  // let the loop harvest it
   for (std::uint64_t id = 1; id <= 2; ++id) {
     const Response pong = c2.ping();

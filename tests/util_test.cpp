@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
+#include <thread>
 
 #include "util/bits.hpp"
 #include "util/cli.hpp"
@@ -177,6 +179,40 @@ TEST(ThreadPool, NestedParallelForDegradesToSerial) {
     pool.parallel_for(8, 1, [&](std::size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 64);
+}
+
+TEST(ThreadPool, CallWhileAnotherThreadsJobRunsNeverStallsThatJob) {
+  // An owner thread's job holds the pool until released. A call from this
+  // thread then runs serially on it, and its body releases the owner's job
+  // and waits for that job to return: the serial run must not hold anything
+  // the owner's job needs to finish. The wait gives up after 10 s instead of
+  // hanging.
+  ThreadPool pool(2);
+  std::atomic<bool> entered{false}, released{false}, owner_done{false};
+  std::thread owner([&] {
+    pool.parallel_for(4, 1, [&](std::size_t) {
+      entered = true;
+      while (!released) std::this_thread::yield();
+    });
+    owner_done = true;
+  });
+  while (!entered) std::this_thread::yield();
+  std::atomic<int> ran{0};
+  std::atomic<bool> owner_done_first{false};
+  pool.parallel_for(4, 1, [&](std::size_t) {
+    if (ran.fetch_add(1) == 0) {
+      released = true;
+      const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!owner_done && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+      owner_done_first = owner_done.load();
+    }
+  });
+  released = true;
+  owner.join();
+  EXPECT_EQ(ran.load(), 4);
+  EXPECT_TRUE(owner_done_first.load()) << "the owner's job waited for the serial call";
 }
 
 TEST(ThreadPool, RangesReportValidWorkerRanks) {
