@@ -47,7 +47,9 @@ class ThreadPool {
 
   /// Runs body(worker_rank, begin, end) over contiguous ranges. Useful when a
   /// body wants per-worker scratch indexed by rank; rank < size()+1 (the
-  /// caller participates as the last rank).
+  /// caller participates as the last rank). A call made while the pool runs
+  /// another job (nested, or from another thread) runs serially on its
+  /// caller as rank size(), so per-rank scratch must belong to the call.
   void parallel_ranges(std::size_t n, std::size_t grain,
                        const std::function<void(unsigned, std::size_t, std::size_t)>& body);
 
