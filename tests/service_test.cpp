@@ -10,7 +10,6 @@
 #include <atomic>
 #include <chrono>
 #include <future>
-#include <memory>
 #include <thread>
 
 #include "engine/engine.hpp"
@@ -65,6 +64,60 @@ Golden compute_golden(engine::Engine& local, const CooTensor& t, WireOp op, int 
   local.run(req);
   return g;
 }
+
+/// Polls `done` every millisecond for up to 300 s.
+template <class Pred>
+bool wait_until(const Pred& done) {
+  for (const auto give_up = Clock::now() + std::chrono::seconds(300); Clock::now() < give_up;) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+/// Keeps a one-device engine's only worker busy until release() or
+/// destruction: an SpMTTKRP on `t` whose completion callback waits. Jobs
+/// submitted meanwhile stay queued however fast the worker would drain
+/// them, so a test's queue-state precondition cannot be lost to timing.
+class WorkerHold {
+ public:
+  WorkerHold(engine::Engine& eng, const CooTensor& t) {
+    engine::OpRequest req;
+    req.plan = eng.plan(t, engine::OpKind::kSpMTTKRP, 0, kPart);
+    Prng rng(0x401D);
+    for (int pm : req.plan->product_modes) {
+      inputs_.emplace_back(t.dim(pm), 4);
+      inputs_.back().fill_random(rng, -1.0f, 1.0f);
+    }
+    out_ = DenseMatrix(req.plan->out_rows(), 4);
+    for (const DenseMatrix& m : inputs_) req.inputs.push_back({m.data(), m.rows(), m.cols()});
+    req.out = out_.data();
+    req.out_rows = out_.rows();
+    req.out_cols = out_.cols();
+    done_ = eng.submit(std::move(req), nullptr, engine::Admission::kBlock, [this] {
+      holding_ = true;
+      while (!released_) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+  }
+  ~WorkerHold() { release(); }
+  WorkerHold(const WorkerHold&) = delete;
+  WorkerHold& operator=(const WorkerHold&) = delete;
+
+  /// True once the job's callback holds the worker.
+  bool holding() const { return holding_; }
+  /// Lets the worker go and waits for the job to finish.
+  void release() {
+    released_ = true;
+    if (done_.valid()) done_.wait();
+  }
+
+ private:
+  std::vector<DenseMatrix> inputs_;
+  DenseMatrix out_;
+  std::atomic<bool> holding_{false};
+  std::atomic<bool> released_{false};
+  std::future<void> done_;
+};
 
 TEST(Service, PingUploadRunDropLifecycle) {
   engine::Engine eng;
@@ -230,9 +283,11 @@ TEST(Service, AbruptDisconnectMidFrameLeavesServerServing) {
 
 TEST(Service, QueueFullBurstIsRetryableTypedAndRetrySucceeds) {
   // Queue depth 1 + pipelined burst: later submissions find the queue
-  // occupied while the first job still runs, so the server must surface
+  // occupied while the worker is busy, so the server must surface
   // engine::QueueFull as the retryable protocol status. A follow-up
-  // run_with_retry on the same connection must then succeed.
+  // run_with_retry on the same connection must then succeed. The worker is
+  // held until the server has taken in the whole burst; a free worker may
+  // drain each job before the next request arrives.
   engine::Engine eng(engine::EngineOptions{.num_devices = 1, .max_queued_jobs = 1});
   TensorOpServer server(eng);
   server.start();
@@ -244,7 +299,13 @@ TEST(Service, QueueFullBurstIsRetryableTypedAndRetrySucceeds) {
   const Golden g = compute_golden(local, t, WireOp::kSpMTTKRP, 0, 16, 17);
 
   constexpr int kBurst = 8;
-  for (int i = 0; i < kBurst; ++i) c.send_run(1, WireOp::kSpMTTKRP, 0, kPart, g.inputs);
+  {
+    WorkerHold hold(eng, t);
+    ASSERT_TRUE(wait_until([&] { return hold.holding(); }));
+    for (int i = 0; i < kBurst; ++i) c.send_run(1, WireOp::kSpMTTKRP, 0, kPart, g.inputs);
+    // One job queued behind the held one; the rest are refused.
+    ASSERT_TRUE(wait_until([&] { return server.stats().queue_full == kBurst - 1; }));
+  }
   int ok = 0, rejected = 0;
   for (int i = 0; i < kBurst; ++i) {
     const Response r = c.recv_response();
@@ -580,52 +641,27 @@ TEST(Service, LateResultOfAClosedSessionNeverReachesTheFdsNextOwner) {
   // number again. Only then is the worker released. Tenant 1's result must
   // be dropped: both of tenant 2's pings are answered by empty ping
   // responses, never by tenant 1's matrix.
-  // The holding job's completion callback keeps the worker until
-  // `released`. The flags outlive the engine's drain, and a guard sets
-  // `released` on every way out of the test.
-  std::atomic<bool> holding{false}, released{false};
   engine::Engine eng(engine::EngineOptions{.num_devices = 1});
   TensorOpServer server(eng);
   server.start();
-  const std::unique_ptr<std::atomic<bool>, decltype([](std::atomic<bool>* f) { *f = true; })>
-      release_on_exit(&released);
   Prng rng(0xFD);
   const CooTensor t = test::random_coo3(rng, 20, 800);
   const Golden g = compute_golden(eng, t, WireOp::kSpTTMc, 0, 4, 0xFD2);
-  DenseMatrix held_out(g.expected.rows(), g.expected.cols());
-  engine::OpRequest hold;
-  hold.plan = eng.plan(t, engine::OpKind::kSpTTMc, 0, kPart);
-  for (const DenseMatrix& m : g.inputs) hold.inputs.push_back({m.data(), m.rows(), m.cols()});
-  hold.out = held_out.data();
-  hold.out_rows = held_out.rows();
-  hold.out_cols = held_out.cols();
-  std::future<void> held =
-      eng.submit(std::move(hold), nullptr, engine::Admission::kBlock, [&] {
-        holding = true;
-        while (!released) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      });
 
-  const auto wait_for = [](const auto& done) {
-    for (const auto give_up = Clock::now() + std::chrono::seconds(300); Clock::now() < give_up;) {
-      if (done()) return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return false;
-  };
-  ASSERT_TRUE(wait_for([&] { return holding.load(); }));
+  WorkerHold hold(eng, t);
+  ASSERT_TRUE(wait_until([&] { return hold.holding(); }));
   const std::uint64_t submitted = eng.stats().jobs_submitted;
   {
     Client c1("127.0.0.1", server.port(), 1);
     ASSERT_TRUE(c1.upload_tensor(1, t).ok());
     (void)c1.send_run(1, WireOp::kSpTTMc, 0, kPart, g.inputs);
-    ASSERT_TRUE(wait_for([&] { return eng.stats().jobs_submitted == submitted + 1; }));
+    ASSERT_TRUE(wait_until([&] { return eng.stats().jobs_submitted == submitted + 1; }));
   }
-  ASSERT_TRUE(wait_for([&] { return server.stats().sessions_open == 0; }));
+  ASSERT_TRUE(wait_until([&] { return server.stats().sessions_open == 0; }));
   Client c2("127.0.0.1", server.port(), 2);
-  ASSERT_TRUE(wait_for([&] { return server.stats().sessions_open == 1; }));
-  released = true;
-  held.get();
-  ASSERT_TRUE(wait_for([&] { return eng.stats().jobs_completed == submitted + 1; }));
+  ASSERT_TRUE(wait_until([&] { return server.stats().sessions_open == 1; }));
+  hold.release();
+  ASSERT_TRUE(wait_until([&] { return eng.stats().jobs_completed == submitted + 1; }));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));  // let the loop harvest it
   for (std::uint64_t id = 1; id <= 2; ++id) {
     const Response pong = c2.ping();
