@@ -1,6 +1,7 @@
 #include "pipeline/chunker.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace ust::pipeline {
 
@@ -84,33 +85,47 @@ std::vector<StreamChunk> group_worker_chunks(std::span<const core::native::Chunk
   return chunks;
 }
 
+nnz_t heads_in_range(std::span<const std::uint64_t> bf_words, nnz_t lo, nnz_t hi) {
+  if (lo >= hi) return 0;
+  const nnz_t first = lo >> 6;
+  const nnz_t last = (hi - 1) >> 6;
+  const std::uint64_t from_lo = ~std::uint64_t{0} << (lo & 63);
+  const std::uint64_t through_hi = ~std::uint64_t{0} >> (63 - ((hi - 1) & 63));
+  if (first == last) {
+    return static_cast<nnz_t>(std::popcount(bf_words[first] & from_lo & through_hi));
+  }
+  nnz_t count = static_cast<nnz_t>(std::popcount(bf_words[first] & from_lo));
+  for (nnz_t w = first + 1; w < last; ++w) {
+    count += static_cast<nnz_t>(std::popcount(bf_words[w]));
+  }
+  return count + static_cast<nnz_t>(std::popcount(bf_words[last] & through_hi));
+}
+
 void annotate_segments(std::span<const std::uint64_t> bf_words, nnz_t nnz,
                        std::span<StreamChunk> chunks, nnz_t first_seg_at_lo) {
   if (chunks.empty()) return;
-  // One pass over the head flags annotates every chunk with the global id of
-  // the segment open at its first non-zero and the number of segments it
-  // touches (the host-side preprocessing the paper amortises, done once per
-  // streamed/sharded run). The scan starts at the span's first non-zero with
-  // the caller-supplied segment id, so shard-local passes stay O(shard).
-  const nnz_t lo = chunks.front().lo;
-  const nnz_t end = chunks.back().hi;
-  UST_EXPECTS(end <= nnz);
-  const auto head = [&](nnz_t x) {
-    return ((bf_words[x >> 6] >> (x & 63)) & 1ull) != 0;
-  };
-  std::size_t c = 0;
+  UST_EXPECTS(chunks.back().hi <= nnz);
+  // `seg` is the global id of the segment open at non-zero `at`; every head
+  // after `at` opens the next one. Each chunk costs two word-wise popcounts,
+  // so the whole pass is O(chunks + span / 64).
+  nnz_t at = chunks.front().lo;
   nnz_t seg = first_seg_at_lo;
-  nnz_t chunk_first_seg = first_seg_at_lo;
-  for (nnz_t x = lo; x < end; ++x) {
-    if (x != lo && head(x)) ++seg;
-    if (c < chunks.size() && x == chunks[c].lo) chunk_first_seg = seg;
-    if (c < chunks.size() && x == chunks[c].hi - 1) {
-      chunks[c].first_seg = chunk_first_seg;
-      chunks[c].num_segments = seg - chunk_first_seg + 1;
-      ++c;
+  for (StreamChunk& c : chunks) {
+    UST_EXPECTS(at <= c.lo && c.lo <= c.hi);
+    // An empty chunk past the last non-zero reports the last segment.
+    const nnz_t lo = std::min(c.lo, nnz - 1);
+    seg += heads_in_range(bf_words, at + 1, lo + 1);
+    at = lo;
+    c.first_seg = seg;
+    if (c.lo == c.hi) {
+      c.num_segments = 0;
+      continue;
     }
+    const nnz_t opened = heads_in_range(bf_words, c.lo + 1, c.hi);
+    c.num_segments = opened + 1;
+    seg += opened;
+    at = c.hi - 1;
   }
-  UST_ENSURES(c == chunks.size());
 }
 
 ChunkerResult make_stream_chunks(const HostFcoo& host, const Partitioning& part,

@@ -90,10 +90,18 @@ nnz_t resolve_chunk_nnz(nnz_t nnz, std::size_t num_product_modes,
 std::vector<StreamChunk> group_worker_chunks(std::span<const core::native::Chunk> grid,
                                              std::size_t chunk_bytes, std::size_t per_nnz);
 
-/// Fills first_seg / num_segments on `chunks` (contiguous, sorted) by one
-/// pass over the head flags from chunks.front().lo. `first_seg_at_lo` is the
-/// global id of the segment open at that first non-zero (0 for a pass over
-/// the whole tensor; the shard's first segment for a shard-local pass).
+/// Number of head flags set in global positions [lo, hi) of the packed
+/// words, counted a 64-bit word at a time (0 when lo >= hi).
+nnz_t heads_in_range(std::span<const std::uint64_t> bf_words, nnz_t lo, nnz_t hi);
+
+/// Fills first_seg / num_segments on `chunks` (sorted, non-overlapping, and
+/// ending at or before nnz) by popcounting the head flags a word at a time
+/// from chunks.front().lo: O(chunks + span / 64), so the stream chunker and
+/// the sharder can recompute it on every call instead of caching it.
+/// `first_seg_at_lo` is the global id of the segment open at that first
+/// non-zero (0 for a pass over the whole tensor; the shard's first segment
+/// for a shard-local pass). An empty chunk (lo == hi) gets num_segments 0 and
+/// the segment open at its lo (the last segment when lo == nnz).
 void annotate_segments(std::span<const std::uint64_t> bf_words, nnz_t nnz,
                        std::span<StreamChunk> chunks, nnz_t first_seg_at_lo = 0);
 

@@ -1,27 +1,6 @@
 #include "shard/sharder.hpp"
 
-#include <algorithm>
-
 namespace ust::shard {
-
-namespace {
-
-/// Number of head flags set in global positions [lo, hi).
-nnz_t heads_in_range(std::span<const std::uint64_t> bf_words, nnz_t lo, nnz_t hi) {
-  nnz_t count = 0;
-  for (nnz_t x = lo; x < hi;) {
-    const nnz_t w = x >> 6;
-    const unsigned bit = static_cast<unsigned>(x & 63);
-    std::uint64_t word = bf_words[w] >> bit;
-    const nnz_t span = std::min<nnz_t>(64 - bit, hi - x);
-    if (span < 64) word &= (1ull << span) - 1;
-    count += static_cast<nnz_t>(__builtin_popcountll(word));
-    x += span;
-  }
-  return count;
-}
-
-}  // namespace
 
 ShardingResult make_shards(nnz_t nnz, std::span<const std::uint64_t> bf_words,
                            unsigned threadlen, unsigned workers, nnz_t chunk_nnz,
@@ -42,7 +21,7 @@ ShardingResult make_shards(nnz_t nnz, std::span<const std::uint64_t> bf_words,
   for (std::size_t c = 0; c < grid.size(); ++c) {
     const nnz_t w = opt.balance == core::ShardBalance::kNnz
                         ? grid[c].hi - grid[c].lo
-                        : heads_in_range(bf_words, grid[c].lo, grid[c].hi);
+                        : pipeline::heads_in_range(bf_words, grid[c].lo, grid[c].hi);
     cum[c + 1] = cum[c] + w;
   }
   const nnz_t total = cum.back();
@@ -73,28 +52,9 @@ ShardingResult make_shards(nnz_t nnz, std::span<const std::uint64_t> bf_words,
   }
   UST_ENSURES(result.shards.front().lo == 0 && result.shards.back().hi == nnz);
 
-  // Segment metadata for every non-empty shard: one pass over the head
-  // flags (the same scan the stream chunker runs). seg_at tracks the segment
-  // id of the last position BEFORE the shard; the shard's first segment
-  // additionally advances when its own first non-zero is a head.
-  const auto head = [&](nnz_t x) {
-    return ((bf_words[x >> 6] >> (x & 63)) & 1ull) != 0;
-  };
-  nnz_t seg_at = 0;
-  nnz_t x = 0;
-  for (pipeline::StreamChunk& s : result.shards) {
-    for (; x < s.lo; ++x) {
-      if (x != 0 && head(x)) ++seg_at;
-    }
-    nnz_t first = seg_at;
-    if (s.lo != 0 && s.lo < nnz && head(s.lo)) ++first;
-    s.first_seg = first;
-    if (s.hi == s.lo) {
-      s.num_segments = 0;
-      continue;
-    }
-    pipeline::annotate_segments(bf_words, nnz, {&s, 1}, first);
-  }
+  // Segment metadata from the head flags, a word at a time (the stream
+  // chunker's pass; an empty shard gets no segments).
+  pipeline::annotate_segments(bf_words, nnz, result.shards);
   return result;
 }
 

@@ -101,17 +101,47 @@ TEST(Chunker, BoundarySplittingASegmentKeepsSegmentMetadataExact) {
   }
 }
 
+void expect_metadata_matches_rank(const FcooTensor& f, const ChunkerResult& r) {
+  for (const StreamChunk& sc : r.chunks) {
+    EXPECT_EQ(sc.first_seg, f.segment_of(sc.lo)) << "chunk [" << sc.lo << ", " << sc.hi << ")";
+    EXPECT_EQ(sc.first_seg + sc.num_segments - 1, f.segment_of(sc.hi - 1))
+        << "chunk [" << sc.lo << ", " << sc.hi << ")";
+  }
+}
+
 TEST(Chunker, SegmentMetadataMatchesRankQueries) {
   Prng rng(99);
   for (int trial = 0; trial < 10; ++trial) {
     const CooTensor t = test::random_coo3(rng, 20, 600);
     const FcooTensor f = mttkrp_fcoo(t);
     const Partitioning part{.threadlen = 8, .block_size = 32};
-    const ChunkerResult r = make_stream_chunks(
-        f, part, StreamingOptions{.enabled = true, .chunk_bytes = 0, .chunk_nnz = 32}, 2);
-    for (const StreamChunk& sc : r.chunks) {
-      EXPECT_EQ(sc.first_seg, f.segment_of(sc.lo));
-      EXPECT_EQ(sc.first_seg + sc.num_segments - 1, f.segment_of(sc.hi - 1));
+    expect_metadata_matches_rank(
+        f, make_stream_chunks(
+               f, part, StreamingOptions{.enabled = true, .chunk_bytes = 0, .chunk_nnz = 32},
+               2));
+  }
+  // Chunks spanning thousands of head-flag words, with boundaries on word
+  // edges (threadlen 64) and next to them (63, 65): one worker chunk per
+  // stream chunk, and worker chunks of ~1000 words grouped under a byte
+  // budget. Then every non-zero a head, and one segment throughout.
+  const index_t big = (1u << 16) + 4321;
+  for (const CooTensor& t :
+       {test::mixed_segment_coo3(rng, 3 * big), segmented_tensor(big, 1), segmented_tensor(1, big)}) {
+    const FcooTensor f = mttkrp_fcoo(t);
+    for (const unsigned threadlen : {63u, 64u, 65u}) {
+      const Partitioning part{.threadlen = threadlen, .block_size = 32};
+      for (const unsigned workers : {2u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "nnz " << f.nnz() << " threadlen " << threadlen
+                                        << " workers " << workers);
+        expect_metadata_matches_rank(
+            f, make_stream_chunks(f, part, StreamingOptions{.enabled = true}, workers));
+        expect_metadata_matches_rank(
+            f, make_stream_chunks(f, part,
+                                  StreamingOptions{.enabled = true,
+                                                   .chunk_bytes = 3 * 64000 * plan_bytes_per_nnz(2),
+                                                   .chunk_nnz = threadlen * 1000},
+                                  workers));
+      }
     }
   }
 }

@@ -53,6 +53,26 @@ ShardingResult shards_of(const FcooTensor& f, unsigned threadlen, unsigned devic
                      ShardOptions{.num_devices = devices, .balance = balance});
 }
 
+/// Every shard's segment metadata equals the rank queries on the head flags;
+/// an empty shard reports no segments and the segment open at its lo.
+void expect_metadata_matches_rank(const FcooTensor& f, const ShardingResult& r) {
+  nnz_t total_starts = 0;
+  for (const pipeline::StreamChunk& s : r.shards) {
+    if (s.hi == s.lo) {
+      EXPECT_EQ(s.num_segments, 0u);
+      EXPECT_EQ(s.first_seg, f.segment_of(std::min(s.lo, f.nnz() - 1)));
+      continue;
+    }
+    EXPECT_EQ(s.first_seg, f.segment_of(s.lo)) << "shard [" << s.lo << ", " << s.hi << ")";
+    EXPECT_EQ(s.first_seg + s.num_segments - 1, f.segment_of(s.hi - 1))
+        << "shard [" << s.lo << ", " << s.hi << ")";
+    total_starts += s.num_segments;
+  }
+  // Segments spanning a boundary are counted by both sides, so the sum is
+  // at least the segment count.
+  EXPECT_GE(total_starts, f.num_segments());
+}
+
 TEST(Sharder, ShardsCoverNnzContiguouslyOnWorkerGridBoundaries) {
   Prng rng(11);
   for (int trial = 0; trial < 20; ++trial) {
@@ -90,6 +110,7 @@ TEST(Sharder, ShardsCoverNnzContiguouslyOnWorkerGridBoundaries) {
     }
     EXPECT_EQ(expect_lo, f.nnz());
     EXPECT_EQ(total_chunks, grid.size());
+    expect_metadata_matches_rank(f, r);
   }
 }
 
@@ -98,20 +119,24 @@ TEST(Sharder, SegmentMetadataMatchesRankQueries) {
   for (int trial = 0; trial < 10; ++trial) {
     const CooTensor t = test::random_coo3(rng, 20, 800);
     const FcooTensor f = test::make_mttkrp_fcoo(t, 0);
-    const ShardingResult r = shards_of(f, 8, 3, ShardBalance::kSegments, 16);
-    nnz_t total_starts = 0;
-    for (const pipeline::StreamChunk& s : r.shards) {
-      if (s.hi == s.lo) {
-        EXPECT_EQ(s.num_segments, 0u);
-        continue;
+    expect_metadata_matches_rank(f, shards_of(f, 8, 3, ShardBalance::kSegments, 16));
+  }
+  // Shards spanning thousands of head-flag words, with boundaries on word
+  // edges (threadlen 64) and next to them (63, 65); then every non-zero a
+  // head, and one segment throughout.
+  const index_t big = (1u << 16) + 4321;
+  for (const CooTensor& t : {test::mixed_segment_coo3(rng, 3 * big), segmented_tensor(big, 1),
+                             segmented_tensor(1, big)}) {
+    const FcooTensor f = test::make_mttkrp_fcoo(t, 0);
+    for (const unsigned threadlen : {63u, 64u, 65u}) {
+      for (const unsigned devices : {2u, 4u}) {
+        for (const ShardBalance balance : {ShardBalance::kNnz, ShardBalance::kSegments}) {
+          SCOPED_TRACE(testing::Message() << "nnz " << f.nnz() << " threadlen " << threadlen
+                                          << " devices " << devices);
+          expect_metadata_matches_rank(f, shards_of(f, threadlen, devices, balance));
+        }
       }
-      EXPECT_EQ(s.first_seg, f.segment_of(s.lo));
-      EXPECT_EQ(s.first_seg + s.num_segments - 1, f.segment_of(s.hi - 1));
-      total_starts += s.num_segments;
     }
-    // Segments spanning a boundary are counted by both sides, so the sum is
-    // at least the segment count.
-    EXPECT_GE(total_starts, f.num_segments());
   }
 }
 
@@ -162,6 +187,7 @@ TEST(Sharder, MoreDevicesThanChunksYieldsEmptyShards) {
   EXPECT_LE(non_empty, r.grid_chunks);
   EXPECT_EQ(r.shards.front().lo, 0u);
   EXPECT_EQ(r.shards.back().hi, f.nnz());
+  expect_metadata_matches_rank(f, r);
 }
 
 TEST(Sharder, EmptyTensorYieldsEmptyShards) {

@@ -96,6 +96,31 @@ inline CooTensor random_coo3(Prng& rng, index_t max_dim = 40, nnz_t max_nnz = 30
   return io::generate_uniform({d0, d1, d2}, nnz, rng.next_u64());
 }
 
+/// A 3-order tensor of at least `min_nnz` non-zeros whose mode-0 slices (the
+/// segments of a mode-0 SpMTTKRP) mix lengths: half hold 1-8 non-zeros, so
+/// several heads share a 64-bit head-flag word, and one in eight holds
+/// 1000-5000, so one segment spans many words.
+inline CooTensor mixed_segment_coo3(Prng& rng, nnz_t min_nnz) {
+  std::vector<index_t> lens;
+  nnz_t total = 0;
+  while (total < min_nnz) {
+    const std::uint64_t kind = rng.next_below(8);
+    const index_t len = kind < 4   ? 1 + rng.next_index(8)
+                        : kind < 7 ? 9 + rng.next_index(192)
+                                   : 1000 + rng.next_index(4001);
+    lens.push_back(len);
+    total += len;
+  }
+  CooTensor t({static_cast<index_t>(lens.size()), 5000, 2});
+  for (index_t s = 0; s < lens.size(); ++s) {
+    for (index_t j = 0; j < lens[s]; ++j) {
+      const index_t idx[3] = {s, j, (s + j) % 2};
+      t.push_back(idx, 1.0f);
+    }
+  }
+  return t;
+}
+
 /// Engine-backed one-shot op helpers. Each builds a throwaway non-owning
 /// engine around the caller's device and runs a single op through the Engine
 /// API -- the test-side replacement for the retired
