@@ -134,7 +134,8 @@ TEST(Chunker, SegmentMetadataMatchesRankQueries) {
         SCOPED_TRACE(testing::Message() << "nnz " << f.nnz() << " threadlen " << threadlen
                                         << " workers " << workers);
         expect_metadata_matches_rank(
-            f, make_stream_chunks(f, part, StreamingOptions{.enabled = true}, workers));
+            f, make_stream_chunks(f, part, StreamingOptions{.enabled = true, .chunk_bytes = 0},
+                                  workers));
         expect_metadata_matches_rank(
             f, make_stream_chunks(f, part,
                                   StreamingOptions{.enabled = true,
