@@ -52,8 +52,7 @@ int main(int argc, char** argv) {
     const double mono_s =
         bench::time_median([&] { mono_op.run(factors, mono_opt); }, reps);
     const double stream_s = bench::time_median([&] { stream_op.run(factors); }, reps);
-    const auto grid = core::native::make_chunks(d.tensor.nnz(), part.threadlen,
-                                                dev.pool().size() + 1, cap);
+    const auto grid = core::native::make_chunks(d.tensor.nnz(), part.threadlen, cap);
     const double overhead = mono_s > 0.0 ? stream_s / mono_s : 0.0;
     t1.add_row({d.name, Table::num(mono_s * 1e3, 3), Table::num(stream_s * 1e3, 3),
                 std::to_string(grid.size()), Table::num(overhead, 2) + "x"});

@@ -4,10 +4,8 @@
 // 4 simulated devices and both shard balance policies. Each configuration
 // reports the median wall-clock time of the whole run_sharded call (shard
 // split, cached shard plans, the devices' runs one after another on this
-// host, merge and boundary fold) and, beside it, the critical-path model of
-// shard::Report: max over devices of the phase-1 kernel time, plus the
-// merge. The model charges devices as if they ran concurrently; the wall
-// clock is what a caller waits for. The bench claims no threshold.
+// host, merge and boundary fold): what a caller waits for. The bench claims
+// no threshold.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -54,7 +52,7 @@ const char* balance_name(core::ShardBalance b) {
 
 int main(int argc, char** argv) {
   Cli cli("bench_shard",
-          "multi-device sharded SpMTTKRP: wall clock and model across 1/2/4 devices");
+          "multi-device sharded SpMTTKRP: wall clock across 1/2/4 devices");
   cli.option("tiny", "70000", "one-non-zero segments in the skewed region");
   cli.option("giant", "20", "giant segments");
   cli.option("giant-len", "1000", "non-zeros per giant segment");
@@ -95,8 +93,7 @@ int main(int argc, char** argv) {
   bench::JsonResults json("bench_shard");
 
   struct Row {
-    double wall_s = 0.0;      // median of the whole run_sharded call
-    double makespan_s = 0.0;  // median critical-path model (shard::Report)
+    double wall_s = 0.0;  // median of the whole run_sharded call
     nnz_t max_nnz = 0;
     nnz_t max_segs = 0;
   };
@@ -107,14 +104,12 @@ int main(int argc, char** argv) {
     shard::Report report;
     op.run_sharded(factors, out, opt, &report);  // warmup: builds shard plans
     std::vector<double> walls;
-    std::vector<double> makespans;
     for (int rep = 0; rep < reps; ++rep) {
       Timer timer;
       op.run_sharded(factors, out, opt, &report);
       walls.push_back(timer.seconds());
-      makespans.push_back(report.makespan_s);
     }
-    Row row{.wall_s = median(std::move(walls)), .makespan_s = median(std::move(makespans))};
+    Row row{.wall_s = median(std::move(walls))};
     for (const shard::DeviceReport& d : report.devices) {
       row.max_nnz = std::max(row.max_nnz, d.nnz);
       row.max_segs = std::max(row.max_segs, d.segments);
@@ -126,22 +121,18 @@ int main(int argc, char** argv) {
   const Row base = measure(1, core::ShardBalance::kNnz);
   const auto ratio = [](double num, double den) { return den > 0.0 ? num / den : 0.0; };
 
-  print_banner("Sharded SpMTTKRP: wall clock and critical-path model (skewed tensor)");
-  Table table({"balance", "devices", "wall (ms)", "wall speedup", "model (ms)",
-               "model speedup", "max-dev nnz", "max-dev segments"});
+  print_banner("Sharded SpMTTKRP: wall clock (skewed tensor)");
+  Table table({"balance", "devices", "wall (ms)", "wall speedup", "max-dev nnz",
+               "max-dev segments"});
   const auto add = [&](const std::string& balance, unsigned devices, const Row& row) {
     const double wall_speedup = ratio(base.wall_s, row.wall_s);
-    const double model_speedup = ratio(base.makespan_s, row.makespan_s);
     table.add_row({balance, std::to_string(devices), Table::num(row.wall_s * 1e3, 3),
-                   Table::num(wall_speedup, 2) + "x", Table::num(row.makespan_s * 1e3, 3),
-                   Table::num(model_speedup, 2) + "x", std::to_string(row.max_nnz),
+                   Table::num(wall_speedup, 2) + "x", std::to_string(row.max_nnz),
                    std::to_string(row.max_segs)});
     const std::string prefix =
         "shard." + (devices == 1 ? std::string() : balance + ".") + std::to_string(devices) + "dev";
     json.add(prefix + ".wall_s", row.wall_s);
     json.add(prefix + ".wall_speedup_vs_1dev", wall_speedup);
-    json.add(prefix + ".makespan_s", row.makespan_s);
-    json.add(prefix + ".speedup_vs_1dev", model_speedup);
     json.add(prefix + ".max_device_nnz", static_cast<double>(row.max_nnz));
     json.add(prefix + ".max_device_segments", static_cast<double>(row.max_segs));
   };
@@ -155,10 +146,9 @@ int main(int argc, char** argv) {
   table.print();
   std::printf(
       "wall = median of the whole run_sharded call; the devices run one after\n"
-      "another on this host. model = max over devices of per-shard kernel time +\n"
-      "merge, as if the devices ran concurrently. Segment balancing splits the\n"
-      "one-nnz-segment region across devices, which raw nnz splitting\n"
-      "underweights (Nisa et al.; Wijeratne et al.).\n");
+      "another on this host. Segment balancing splits the one-nnz-segment region\n"
+      "across devices, which raw nnz splitting underweights (Nisa et al.;\n"
+      "Wijeratne et al.).\n");
 
   // Shard-plan cache accounting, aggregated by the engine (warmup runs miss,
   // every timed repetition hits the per-device caches).

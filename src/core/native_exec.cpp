@@ -14,17 +14,18 @@ WorkerTiles::WorkerTiles(unsigned workers, std::size_t width)
   UST_ENSURES(base_ != nullptr);
 }
 
-std::vector<Chunk> make_chunks(nnz_t nnz, unsigned threadlen, unsigned workers,
-                               nnz_t max_chunk_nnz) {
+std::vector<Chunk> make_chunks(nnz_t nnz, unsigned threadlen, nnz_t max_chunk_nnz) {
   std::vector<Chunk> chunks;
   if (nnz == 0) return chunks;
   UST_EXPECTS(threadlen >= 1);
   const nnz_t partitions = ceil_div<nnz_t>(nnz, threadlen);
-  // ~4 chunks per worker: enough slack for dynamic load balancing without
-  // making the serial boundary pass or the tile allocations noticeable. A
-  // non-zero max_chunk_nnz raises the chunk count until every chunk fits the
-  // cap -- the knob the streaming pipeline and the tuner's fourth axis share.
-  nnz_t target = std::max<nnz_t>(1, static_cast<nnz_t>(workers) * 4);
+  // 16 chunks give a 4-thread pool four per thread of slack for dynamic load
+  // balancing; one chunk per 2^17 non-zeros keeps a large tensor's chunks
+  // small enough to spread over a wider pool. Neither term reads the pool,
+  // so every pool width runs the same grid. A non-zero max_chunk_nnz raises
+  // the chunk count until every chunk fits the cap -- the knob the streaming
+  // pipeline and the tuner's fourth axis share.
+  nnz_t target = std::max<nnz_t>(16, ceil_div<nnz_t>(nnz, nnz_t{1} << 17));
   if (max_chunk_nnz != 0) {
     const nnz_t cap_partitions = std::max<nnz_t>(1, max_chunk_nnz / threadlen);
     target = std::max(target, ceil_div<nnz_t>(partitions, cap_partitions));
@@ -33,8 +34,7 @@ std::vector<Chunk> make_chunks(nnz_t nnz, unsigned threadlen, unsigned workers,
   chunks.reserve(n);
   for (nnz_t k = 0; k < n; ++k) {
     const nnz_t p0 = k * partitions / n;
-    const nnz_t p1 = (k + 1) * partitions / n;
-    if (p0 == p1) continue;  // more chunks requested than partitions exist
+    const nnz_t p1 = (k + 1) * partitions / n;  // > p0, as n <= partitions
     chunks.push_back(Chunk{p0 * threadlen, std::min<nnz_t>(p1 * threadlen, nnz)});
   }
   UST_ENSURES(!chunks.empty() && chunks.front().lo == 0 && chunks.back().hi == nnz);

@@ -39,12 +39,13 @@
 // mul-then-add sequence and the same boundary-carry handoff it would see in
 // a solo scalar run, no matter how columns are grouped into passes.
 //
-// The result is bitwise deterministic run-to-run regardless of worker
-// scheduling: chunk boundaries are fixed by (nnz, threadlen, pool size), each
-// segment's partials are summed in storage order, and boundary partials are
-// combined left-to-right. The simulator remains the fidelity/ablation oracle
-// (ReduceStrategy only changes the dataflow there); this backend is the
-// default for end-to-end runs. See DESIGN.md §8 and §13.
+// The result is bitwise deterministic regardless of worker scheduling and of
+// how many threads the pool has: chunk boundaries are a function of nnz,
+// threadlen and chunk_nnz alone (make_chunks), each segment's partials are
+// summed in storage order, and boundary partials are combined left-to-right.
+// The simulator remains the fidelity/ablation oracle (ReduceStrategy only
+// changes the dataflow there); this backend is the default for end-to-end
+// runs. See DESIGN.md §8 and §13.
 #pragma once
 
 #include <algorithm>
@@ -68,15 +69,16 @@ struct Chunk {
   nnz_t hi = 0;
 };
 
-/// Splits [0, nnz) into up to ~4 chunks per worker (dynamic scheduling evens
-/// out skew), each aligned to `threadlen` partition boundaries. A non-zero
+/// The native worker grid: splits [0, nnz) into 16 chunks, or one per 2^17
+/// non-zeros when that gives more, each aligned to `threadlen` partition
+/// boundaries and never more chunks than partitions. A non-zero
 /// `max_chunk_nnz` (a multiple of threadlen, see core::validate) additionally
-/// caps every chunk's size, raising the chunk count as needed -- the grid is
-/// deterministic in (nnz, threadlen, workers, max_chunk_nnz), which is what
-/// the streaming pipeline's bitwise-identity guarantee rests on. Returns an
-/// empty vector for an empty tensor.
-std::vector<Chunk> make_chunks(nnz_t nnz, unsigned threadlen, unsigned workers,
-                               nnz_t max_chunk_nnz = 0);
+/// caps every chunk's size, raising the chunk count as needed. The grid is a
+/// function of (nnz, threadlen, max_chunk_nnz) alone -- any number of pool
+/// threads runs it -- which is what bitwise identity across thread counts,
+/// devices, streaming and sharding rests on. Returns an empty vector for an
+/// empty tensor.
+std::vector<Chunk> make_chunks(nnz_t nnz, unsigned threadlen, nnz_t max_chunk_nnz = 0);
 
 /// One contiguous column sub-range of one batched request's output, placed in
 /// the request-concatenated accumulator tile at `acc_off`. Column `c0 + c` of
@@ -343,9 +345,7 @@ void execute_batched(sim::Device& device, const FcooView& f, std::span<const Out
     total_cols += o.num_cols;
   }
   if (total_cols == 0) return;
-  ThreadPool& pool = device.pool();
-  const std::vector<Chunk> chunks =
-      make_chunks(f.nnz, f.threadlen, pool.size() + 1, max_chunk_nnz);
+  const std::vector<Chunk> chunks = make_chunks(f.nnz, f.threadlen, max_chunk_nnz);
   if (chunks.empty()) return;
   std::vector<std::size_t> pass_off;
   const std::vector<ColBlock> blocks = make_col_blocks(widths, rank_block, pass_off);
@@ -364,8 +364,8 @@ void execute_batched(sim::Device& device, const FcooView& f, std::span<const Out
   std::vector<float> tails(chunks.size() * total_cols);
   std::vector<float> head_partials(chunks.size() * total_cols);
   std::vector<ChunkState> states(chunks.size());
-  run_phase1<Expr>(pool, f, outs, exprs, blocks, pass_off, total_cols, chunks, tails.data(),
-                   head_partials.data(), states.data());
+  run_phase1<Expr>(device.pool(), f, outs, exprs, blocks, pass_off, total_cols, chunks,
+                   tails.data(), head_partials.data(), states.data());
 
   // ---- Phase 2 (serial): carry handoff across chunk boundaries -----------
   // Walks chunks left to right with one running carry tile; each boundary

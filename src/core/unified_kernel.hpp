@@ -98,11 +98,12 @@ struct UnifiedOptions {
   unsigned column_tile = 0;  // 0 = auto; 1 = paper layout; n = fixed tile
   ExecBackend backend = ExecBackend::kNative;  // sim path is the oracle
   /// Native backend only: caps the worker-chunk size (in non-zeros) of the
-  /// accumulation grid. 0 = auto (~4 chunks per pool worker, as before);
-  /// non-zero values must be a multiple of the plan's threadlen (see
-  /// core::validate). The streaming pipeline shares this grid, which is what
-  /// makes chunked execution bitwise identical to single-shot native; the
-  /// auto-tuner sweeps it as a fourth grid axis (core::tune_backends).
+  /// accumulation grid. 0 = auto (16 chunks, or one per 2^17 non-zeros,
+  /// whatever the pool width; see native::make_chunks); non-zero values
+  /// must be a multiple of the plan's threadlen (see core::validate). The
+  /// streaming pipeline shares this grid, which is what makes chunked
+  /// execution bitwise identical to single-shot native; the auto-tuner
+  /// sweeps it as a fourth grid axis (core::tune_backends).
   nnz_t chunk_nnz = 0;
   /// Native backend only: caps the accumulator-tile width (output columns)
   /// one pass over a chunk's non-zeros accumulates, so wide outputs

@@ -379,26 +379,10 @@ void Engine::exec_batch(unsigned d, DeviceRt& rt, std::span<const OpRequest* con
   const index_t cols = first.out_cols;
   const std::size_t out_elems = static_cast<std::size_t>(first.out_rows) * cols;
 
-  // Takes a staging buffer of exactly `elems` floats from the device's
-  // scratch pool (jobs on this device are serialised by exec_mutex, which we
-  // hold), or allocates one. Steady traffic -- CP-ALS iterations cycling the
-  // same few sizes -- reuses instead of re-allocating, as the per-op staging
-  // members did before the engine refactor.
-  const auto take = [&](std::size_t elems) {
-    for (auto it = rt.scratch.begin(); it != rt.scratch.end(); ++it) {
-      if (it->size() == elems) {
-        sim::DeviceBuffer<value_t> b = std::move(*it);
-        rt.scratch.erase(it);
-        return b;
-      }
-    }
-    return dev.alloc<value_t>(elems);
-  };
-
   // Stage every request's product-mode inputs and output on the target
-  // device (transfers are re-done every run: CP-ALS mutates the factors
-  // between calls). fcs[j] are request j's factor pointers, out_views[j] its
-  // zero-filled output tile.
+  // device through its scratch pool (transfers are re-done every run: CP-ALS
+  // mutates the factors between calls). fcs[j] are request j's factor
+  // pointers, out_views[j] its zero-filled output tile.
   std::vector<sim::DeviceBuffer<value_t>> fac(n * nprod);
   std::vector<std::array<const value_t*, kMaxProductModes>> fcs(n);
   std::vector<sim::DeviceBuffer<value_t>> out_bufs(n);
@@ -408,27 +392,20 @@ void Engine::exec_batch(unsigned d, DeviceRt& rt, std::span<const OpRequest* con
       const HostMatrixView& in = reqs[j]->inputs[i];
       const std::size_t elems = static_cast<std::size_t>(in.rows) * in.cols;
       sim::DeviceBuffer<value_t>& b = fac[j * nprod + i];
-      b = take(elems);
+      b = rt.take(dev, elems);
       b.copy_from_host({in.data, elems});
       fcs[j][i] = b.data();
     }
-    out_bufs[j] = take(out_elems);
+    out_bufs[j] = rt.take(dev, out_elems);
     out_bufs[j].fill(value_t{0});
     out_views[j] = core::OutView{out_bufs[j].data(), cols, cols};
   }
 
-  // Returns the staging buffers to the pool (bounded; oldest evicted) once
-  // the run has copied its results out. The cap leaves room for a full
-  // batch's working set so a steady same-plan burst reuses every buffer.
+  // Returns the staging buffers to the pool once the run has copied its
+  // results out.
   const auto retire = [&] {
-    const std::size_t max_pooled = std::max<std::size_t>(16, max_batch_ * 4);
-    for (auto& b : fac) {
-      if (!b.empty()) rt.scratch.push_back(std::move(b));
-    }
-    for (auto& b : out_bufs) {
-      if (!b.empty()) rt.scratch.push_back(std::move(b));
-    }
-    while (rt.scratch.size() > max_pooled) rt.scratch.erase(rt.scratch.begin());
+    rt.retire(fac, max_batch_);
+    rt.retire(out_bufs, max_batch_);
   };
   const auto copy_out = [&] {
     for (std::size_t j = 0; j < n; ++j) {
@@ -506,6 +483,26 @@ void Engine::exec_batch(unsigned d, DeviceRt& rt, std::span<const OpRequest* con
   });
   copy_out();
   retire();
+}
+
+sim::DeviceBuffer<value_t> Engine::DeviceRt::take(sim::Device& dev, std::size_t elems) {
+  for (auto it = scratch.begin(); it != scratch.end(); ++it) {
+    if (it->size() == elems) {
+      sim::DeviceBuffer<value_t> b = std::move(*it);
+      scratch.erase(it);
+      return b;
+    }
+  }
+  return dev.alloc<value_t>(elems);
+}
+
+void Engine::DeviceRt::retire(std::span<sim::DeviceBuffer<value_t>> bufs,
+                              std::size_t max_batch) {
+  for (auto& b : bufs) {
+    if (!b.empty()) scratch.push_back(std::move(b));
+  }
+  const std::size_t max_pooled = std::max<std::size_t>(16, max_batch * 4);
+  while (scratch.size() > max_pooled) scratch.erase(scratch.begin());
 }
 
 void Engine::exec_single(unsigned d, DeviceRt& rt, const OpRequest& req) {
@@ -660,34 +657,28 @@ void Engine::exec_sharded_body(const OpRequest& req, shard::Report* report) {
   const std::size_t out_elems = static_cast<std::size_t>(req.out_rows) * cols;
   const std::span<value_t> host_out{req.out, out_elems};
 
-  // The final output buffer comes from device 0's scratch pool (we hold its
-  // exec_mutex), so repeat sharded runs -- CP-ALS iterations -- reuse it.
-  sim::DeviceBuffer<value_t> out_buf;
-  for (auto it = rts[0]->scratch.begin(); it != rts[0]->scratch.end(); ++it) {
-    if (it->size() == out_elems) {
-      out_buf = std::move(*it);
-      rts[0]->scratch.erase(it);
-      break;
-    }
-  }
-  if (out_buf.size() != out_elems) out_buf = dev0->alloc<value_t>(out_elems);
+  // Every staging buffer comes from its device's scratch pool (we hold every
+  // exec_mutex), so repeat sharded runs -- CP-ALS iterations -- reuse them.
+  sim::DeviceBuffer<value_t> out_buf = rts[0]->take(*dev0, out_elems);
   out_buf.fill(value_t{0});
   const core::OutView out_view{out_buf.data(), cols, cols};
 
   with_expr_maker(p.kind, nprod, r0, r1, [&](auto maker) {
     // Inputs are staged per shard device, lazily, inside the expression
-    // factory (shards run in device order, so one buffer set suffices).
+    // factory (shards run in device order, so one buffer set suffices: a
+    // device's set goes back to its pool when the next device stages).
     std::vector<sim::DeviceBuffer<value_t>> sfac(nprod);
     unsigned staged_for = ~0u;
     shard::execute(*group_, p.host(), p.part, out_view, req.options, p.stream,
                    p.cache_op, p.mode, p.tensor_fp,
                    [&](sim::Device& sdev, unsigned dd, const pipeline::ChunkPlan& c) {
                      if (staged_for != dd) {
+                       if (staged_for != ~0u) rts[staged_for]->retire(sfac, max_batch_);
                        for (std::size_t i = 0; i < nprod; ++i) {
                          const HostMatrixView& in = req.inputs[i];
                          const std::size_t elems =
                              static_cast<std::size_t>(in.rows) * in.cols;
-                         sfac[i] = sdev.alloc<value_t>(elems);
+                         sfac[i] = rts[dd]->take(sdev, elems);
                          sfac[i].copy_from_host({in.data, elems});
                        }
                        staged_for = dd;
@@ -701,9 +692,10 @@ void Engine::exec_sharded_body(const OpRequest& req, shard::Report* report) {
                      return maker(px.data(), fc.data());
                    },
                    report);
+    if (staged_for != ~0u) rts[staged_for]->retire(sfac, max_batch_);
   });
   out_buf.copy_to_host(host_out);
-  if (!out_buf.empty()) rts[0]->scratch.push_back(std::move(out_buf));
+  rts[0]->retire(std::span(&out_buf, 1), max_batch_);
 }
 
 unsigned Engine::pick_device_locked(const OpRequest& req) {

@@ -22,12 +22,12 @@
 // span through the same queues (the reservation drains older work first).
 // One in-flight execution per device (the per-device admission lock) is
 // unchanged. A job executes the SAME single-device path run() uses -- and
-// because every device's worker pool has the primary's slot count, the
-// native worker grid (deterministic in nnz / threadlen / workers /
-// chunk_nnz) is identical on every device, so a job's result is bitwise
-// identical no matter which device it lands on and therefore bitwise
-// identical to sequential execution (tests/engine_concurrency_test.cpp,
-// tests/scheduler_test.cpp).
+// because the native worker grid is a function of nnz, threadlen and
+// chunk_nnz alone, never of a pool's width, it is identical on every device,
+// so a job's result is bitwise identical no matter which device it lands on
+// and therefore bitwise identical to sequential execution
+// (tests/engine_concurrency_test.cpp, tests/scheduler_test.cpp,
+// tests/worker_grid_test.cpp).
 //
 // Request batching (DESIGN.md §13): when a device worker dequeues a job it
 // also pulls up to EngineOptions::max_batch - 1 batch-compatible jobs (same
@@ -398,8 +398,16 @@ class Engine {
     // in-flight job touches it). Jobs return their factor/output buffers
     // here and later runs with matching sizes reuse them -- the
     // cross-iteration reuse the per-op front-ends used to hold as members
-    // (CP-ALS runs three ops per iteration on one device).
+    // (CP-ALS runs three ops per iteration on one device, sharded or not).
     std::vector<sim::DeviceBuffer<value_t>> scratch;
+
+    /// A staging buffer of exactly `elems` floats from `scratch`, or a fresh
+    /// one on `dev` (this slot's device). Caller holds exec_mutex.
+    sim::DeviceBuffer<value_t> take(sim::Device& dev, std::size_t elems);
+    /// Moves the non-empty `bufs` into `scratch`, evicting the oldest beyond
+    /// max(16, 4 * max_batch) -- room for a full batch's working set, so a
+    /// steady same-plan burst reuses every buffer. Caller holds exec_mutex.
+    void retire(std::span<sim::DeviceBuffer<value_t>> bufs, std::size_t max_batch);
   };
 
   void init_group(sim::Device& primary, const EngineOptions& opt);

@@ -1,7 +1,8 @@
 #include "pipeline/chunker.hpp"
 
 #include <algorithm>
-#include <bit>
+
+#include "util/bits.hpp"
 
 namespace ust::pipeline {
 
@@ -85,22 +86,6 @@ std::vector<StreamChunk> group_worker_chunks(std::span<const core::native::Chunk
   return chunks;
 }
 
-nnz_t heads_in_range(std::span<const std::uint64_t> bf_words, nnz_t lo, nnz_t hi) {
-  if (lo >= hi) return 0;
-  const nnz_t first = lo >> 6;
-  const nnz_t last = (hi - 1) >> 6;
-  const std::uint64_t from_lo = ~std::uint64_t{0} << (lo & 63);
-  const std::uint64_t through_hi = ~std::uint64_t{0} >> (63 - ((hi - 1) & 63));
-  if (first == last) {
-    return static_cast<nnz_t>(std::popcount(bf_words[first] & from_lo & through_hi));
-  }
-  nnz_t count = static_cast<nnz_t>(std::popcount(bf_words[first] & from_lo));
-  for (nnz_t w = first + 1; w < last; ++w) {
-    count += static_cast<nnz_t>(std::popcount(bf_words[w]));
-  }
-  return count + static_cast<nnz_t>(std::popcount(bf_words[last] & through_hi));
-}
-
 void annotate_segments(std::span<const std::uint64_t> bf_words, nnz_t nnz,
                        std::span<StreamChunk> chunks, nnz_t first_seg_at_lo) {
   if (chunks.empty()) return;
@@ -114,14 +99,14 @@ void annotate_segments(std::span<const std::uint64_t> bf_words, nnz_t nnz,
     UST_EXPECTS(at <= c.lo && c.lo <= c.hi);
     // An empty chunk past the last non-zero reports the last segment.
     const nnz_t lo = std::min(c.lo, nnz - 1);
-    seg += heads_in_range(bf_words, at + 1, lo + 1);
+    seg += count_ones(bf_words, at + 1, lo + 1);
     at = lo;
     c.first_seg = seg;
     if (c.lo == c.hi) {
       c.num_segments = 0;
       continue;
     }
-    const nnz_t opened = heads_in_range(bf_words, c.lo + 1, c.hi);
+    const nnz_t opened = count_ones(bf_words, c.lo + 1, c.hi);
     c.num_segments = opened + 1;
     seg += opened;
     at = c.hi - 1;
@@ -129,14 +114,14 @@ void annotate_segments(std::span<const std::uint64_t> bf_words, nnz_t nnz,
 }
 
 ChunkerResult make_stream_chunks(const HostFcoo& host, const Partitioning& part,
-                                 const core::StreamingOptions& opt, unsigned workers) {
+                                 const core::StreamingOptions& opt) {
   ChunkerResult result;
   const nnz_t nnz = host.nnz;
   result.chunk_nnz = resolve_chunk_nnz(nnz, host.pidx.size(), part, opt);
   if (nnz == 0) return result;
 
   const std::vector<core::native::Chunk> grid =
-      core::native::make_chunks(nnz, part.threadlen, workers, result.chunk_nnz);
+      core::native::make_chunks(nnz, part.threadlen, result.chunk_nnz);
   result.chunks =
       group_worker_chunks(grid, opt.chunk_bytes, plan_bytes_per_nnz(host.pidx.size()));
   annotate_segments(host.bf_words, nnz, result.chunks);
@@ -145,8 +130,8 @@ ChunkerResult make_stream_chunks(const HostFcoo& host, const Partitioning& part,
 }
 
 ChunkerResult make_stream_chunks(const FcooTensor& fcoo, const Partitioning& part,
-                                 const core::StreamingOptions& opt, unsigned workers) {
-  return make_stream_chunks(host_view(fcoo, {}), part, opt, workers);
+                                 const core::StreamingOptions& opt) {
+  return make_stream_chunks(host_view(fcoo, {}), part, opt);
 }
 
 std::vector<std::uint64_t> slice_bits(std::span<const std::uint64_t> words, nnz_t lo,

@@ -2,13 +2,13 @@
 // tensor's non-zeros into bounded-memory stream chunks whose boundaries lie
 // on the native backend's worker-chunk grid (which is itself aligned to
 // threadlen partition boundaries, and through nnz_per_block to block
-// boundaries). Because the worker grid is deterministic in (nnz, threadlen,
-// workers, chunk_nnz) and stream chunks are whole runs of worker chunks,
-// chunked execution accumulates every segment in exactly the same grouping
-// as a single-shot native run -- the foundation of the pipeline's
-// bitwise-identity guarantee. The sharded executor (src/shard/) slices the
-// same grid along a second axis (devices instead of time) and reuses the
-// grouping/annotation helpers below.
+// boundaries). Because the worker grid is a function of nnz, threadlen and
+// chunk_nnz (native::make_chunks) and stream chunks are whole runs of worker
+// chunks, chunked execution accumulates every segment in exactly the same
+// grouping as a single-shot native run on any pool -- the foundation of the
+// pipeline's bitwise-identity guarantee. The sharded executor (src/shard/)
+// slices the same grid along a second axis (devices instead of time) and
+// reuses the grouping/annotation helpers below.
 #pragma once
 
 #include <cstdint>
@@ -90,10 +90,6 @@ nnz_t resolve_chunk_nnz(nnz_t nnz, std::size_t num_product_modes,
 std::vector<StreamChunk> group_worker_chunks(std::span<const core::native::Chunk> grid,
                                              std::size_t chunk_bytes, std::size_t per_nnz);
 
-/// Number of head flags set in global positions [lo, hi) of the packed
-/// words, counted a 64-bit word at a time (0 when lo >= hi).
-nnz_t heads_in_range(std::span<const std::uint64_t> bf_words, nnz_t lo, nnz_t hi);
-
 /// Fills first_seg / num_segments on `chunks` (sorted, non-overlapping, and
 /// ending at or before nnz) by popcounting the head flags a word at a time
 /// from chunks.front().lo: O(chunks + span / 64), so the stream chunker and
@@ -106,16 +102,16 @@ void annotate_segments(std::span<const std::uint64_t> bf_words, nnz_t nnz,
                        std::span<StreamChunk> chunks, nnz_t first_seg_at_lo = 0);
 
 /// Builds the stream-chunk list for `host`: computes the native worker grid
-/// for `workers` pool slots (must match the executing pool: pool.size() + 1),
-/// groups consecutive worker chunks until `opt.chunk_bytes` is reached, and
-/// annotates each chunk with its first global segment id and segment count.
+/// (native::make_chunks with the resolved chunk_nnz), groups consecutive
+/// worker chunks until `opt.chunk_bytes` is reached, and annotates each
+/// chunk with its first global segment id and segment count.
 ChunkerResult make_stream_chunks(const HostFcoo& host, const Partitioning& part,
-                                 const core::StreamingOptions& opt, unsigned workers);
+                                 const core::StreamingOptions& opt);
 
 /// Convenience overload over a host FcooTensor (seg_row not needed for
 /// chunk geometry).
 ChunkerResult make_stream_chunks(const FcooTensor& fcoo, const Partitioning& part,
-                                 const core::StreamingOptions& opt, unsigned workers);
+                                 const core::StreamingOptions& opt);
 
 /// Repacks bits [lo, lo + count) of a packed little-endian word array into a
 /// fresh word vector whose bit 0 is global bit `lo`. Used to slice the

@@ -81,11 +81,11 @@ std::unique_ptr<ChunkPlan> build_chunk_plan(sim::Device& device, const HostFcoo&
 
 ChunkPlanStream::ChunkPlanStream(sim::Device& device, const HostFcoo& host,
                                  const Partitioning& part,
-                                 const core::StreamingOptions& opt, unsigned workers)
+                                 const core::StreamingOptions& opt)
     : device_(device),
       host_(host),
       part_(part),
-      chunks_(make_stream_chunks(host, part, opt, workers)),
+      chunks_(make_stream_chunks(host, part, opt)),
       max_in_flight_(std::max(1u, opt.max_in_flight)),
       trace_id_(obs::current_trace_id()) {
   // The thread starts after every member is initialised (cf. the sim::Stream

@@ -87,10 +87,10 @@ std::unique_ptr<ChunkPlan> build_chunk_plan(sim::Device& device, const HostFcoo&
 /// consumed. next() pops them in order.
 class ChunkPlanStream {
  public:
-  /// `workers` must equal the executing pool's slot count (pool.size() + 1)
-  /// so the worker grid matches single-shot native execution.
+  /// Streams make_stream_chunks(host, part, opt): the single-shot native
+  /// worker grid, grouped under opt.chunk_bytes.
   ChunkPlanStream(sim::Device& device, const HostFcoo& host, const Partitioning& part,
-                  const core::StreamingOptions& opt, unsigned workers);
+                  const core::StreamingOptions& opt);
 
   /// Streams a caller-supplied chunk list (the sharded executor's shard
   /// slices). Chunks must be contiguous, sorted, and annotated. `row_base`
@@ -141,7 +141,7 @@ class ChunkPlanStream {
 /// chunk's device arrays (product_indices) plus whatever device-resident
 /// factor data the caller staged; the output must be zero-initialised, as
 /// for the other backends. Bitwise identical to
-/// native::execute(..., chunker-resolved chunk_nnz, rank_block) on the same
+/// native::execute(..., chunker-resolved chunk_nnz, rank_block) on any
 /// pool -- rank blocking is bitwise neutral, so the streamed/single-shot
 /// identity holds for every (chunk_nnz, rank_block) pair.
 template <class ExprFactory>
@@ -149,8 +149,7 @@ void stream_execute(sim::Device& device, const HostFcoo& host, const Partitionin
                     const core::OutView& out, const core::StreamingOptions& opt,
                     const ExprFactory& make_expr, index_t rank_block = 0) {
   if (host.nnz == 0 || out.num_cols == 0) return;
-  ThreadPool& pool = device.pool();
-  ChunkPlanStream stream(device, host, part, opt, pool.size() + 1);
+  ChunkPlanStream stream(device, host, part, opt);
 
   const std::size_t cols = out.num_cols;
   const index_t width = static_cast<index_t>(cols);
@@ -181,9 +180,9 @@ void stream_execute(sim::Device& device, const HostFcoo& host, const Partitionin
 
     // Phase 1 (parallel): the single-shot run_phase1 over identical
     // non-zero ranges -- only the backing buffers differ.
-    core::native::run_phase1(pool, f, outs, std::span<const decltype(expr)>(&expr, 1), blocks,
-                             pass_off, cols, workers, tails.data(), head_partials.data(),
-                             states.data());
+    core::native::run_phase1(device.pool(), f, outs,
+                             std::span<const decltype(expr)>(&expr, 1), blocks, pass_off, cols,
+                             workers, tails.data(), head_partials.data(), states.data());
 
     // Phase 2 (serial): fold this chunk's boundary partials into the global
     // carry, left to right -- the single-shot handoff (the SAME

@@ -383,7 +383,10 @@ struct TensorOpServer::Impl {
 
     // The columns sit at arbitrary offsets in the frame payload, so no
     // typed pointer may be bound over them: every element is copied out.
+    // nnz is bounded by the frame ceiling and the body size above, so the
+    // reservation is no larger than the frame already received.
     CooTensor tensor(dims);
+    tensor.reserve(nnz);
     std::vector<const std::uint8_t*> cols(static_cast<std::size_t>(order));
     for (auto& col : cols) col = r.bytes(static_cast<std::size_t>(nnz) * sizeof(index_t));
     const std::uint8_t* vals = r.bytes(static_cast<std::size_t>(nnz) * sizeof(value_t));

@@ -39,13 +39,13 @@ namespace ust::shard {
 
 /// The simulated device group the engine shards (and distributes jobs) over.
 /// Device 0 is the caller's primary device; devices 1..N-1 are owned replicas
-/// of its properties, each with its own worker pool (same slot count as the
-/// primary's, so worker grids -- and therefore results -- are identical on
-/// every device) and its own byte-budgeted PlanCache of shard-sliced and
-/// whole-range replica plans (repeat runs -- CP-ALS iterations -- skip the
-/// slice + upload). Owned by ust::engine::Engine since the engine-layer
-/// refactor; the group can grow() but never shrinks, so cached plans and
-/// outstanding device references survive growth.
+/// of its properties, each with its own worker pool (as wide as the
+/// primary's, for speed only: the worker grid never reads a pool's width, so
+/// results are identical on every device) and its own byte-budgeted PlanCache
+/// of shard-sliced and whole-range replica plans (repeat runs -- CP-ALS
+/// iterations -- skip the slice + upload). Owned by ust::engine::Engine since
+/// the engine-layer refactor; the group can grow() but never shrinks, so
+/// cached plans and outstanding device references survive growth.
 class DeviceGroup {
  public:
   explicit DeviceGroup(sim::Device& primary, unsigned num_devices,
@@ -83,28 +83,13 @@ struct DeviceReport {
   double plan_s = 0.0;      // shard plan acquisition (≈0 on a cache hit)
   double exec_s = 0.0;      // phase-1 worker loops on this device
   /// Merging this device's range-local output rows into the final buffer.
-  /// Ranges are (boundary rows aside) disjoint across devices, so in a real
-  /// deployment these transfers run concurrently -- charged to the device's
-  /// critical path, not the serial tail.
   double merge_s = 0.0;
 };
 
-/// Report of one sharded run. Devices execute their shards sequentially on
-/// this host, so the modeled parallel time is the per-device maximum plus
-/// the genuinely serial tail: makespan_s = max_d(exec_s + merge_s) + fold_s.
-/// bench_shard reports speedups from this critical-path model (the honest
-/// multi-device metric on a single physical machine).
+/// Report of one sharded run, in wall-clock seconds per step.
 struct Report {
   std::vector<DeviceReport> devices;
   double fold_s = 0.0;      // serial cross-shard boundary fold
-  double makespan_s = 0.0;
-
-  void finish() {
-    makespan_s = fold_s;
-    double worst = 0.0;
-    for (const DeviceReport& d : devices) worst = std::max(worst, d.exec_s + d.merge_s);
-    makespan_s += worst;
-  }
 };
 
 /// Cache-or-build acquisition of one shard's sliced plan on `dev` (keyed on
@@ -134,19 +119,15 @@ void execute(DeviceGroup& group, const pipeline::HostFcoo& host, const Partition
              std::uint64_t tensor_fp, const ExprFactory& make_expr,
              Report* report = nullptr) {
   if (report != nullptr) *report = Report{};
-  if (host.nnz == 0 || out.num_cols == 0) {
-    if (report != nullptr) report->finish();
-    return;
-  }
+  if (host.nnz == 0 || out.num_cols == 0) return;
   const std::size_t cols = out.num_cols;
-  // The global worker grid is computed for the PRIMARY device's pool, so a
-  // single-device mirror run on that device uses the identical grid.
-  const unsigned workers_ref = group.device(0).pool().size() + 1;
   const nnz_t cap = stream.enabled
                         ? pipeline::resolve_chunk_nnz(host.nnz, host.pidx.size(), part, stream)
                         : opt.chunk_nnz;
+  // The single-device grid for this cap: a single-device run on any device
+  // uses the identical grid.
   const ShardingResult sharding =
-      make_shards(host.nnz, host.bf_words, part.threadlen, workers_ref, cap, opt.shard);
+      make_shards(host.nnz, host.bf_words, part.threadlen, cap, opt.shard);
   UST_EXPECTS(group.size() >= sharding.shards.size());
 
   // Global boundary tiles, one slot per worker chunk of the global grid, in
@@ -166,7 +147,7 @@ void execute(DeviceGroup& group, const pipeline::HostFcoo& host, const Partition
   for (unsigned d = 0; d < sharding.shards.size(); ++d) {
     const pipeline::StreamChunk& shard = sharding.shards[d];
     sim::Device& sdev = group.device(d);
-    // Per-shard makespan span (DESIGN.md §14): covers plan acquisition,
+    // Per-shard span (DESIGN.md §14): covers plan acquisition,
     // execution and the range merge for this device.
     obs::Span obs_shard("shard.device");
     obs_shard.arg("device", d).arg("nnz",
@@ -274,10 +255,7 @@ void execute(DeviceGroup& group, const pipeline::HostFcoo& host, const Partition
   std::vector<float> carry(cols, 0.0f);
   core::native::fold_boundaries(host.seg_row.data(), states, tails.data(), heads.data(),
                                 cols, out, carry.data());
-  if (report != nullptr) {
-    report->fold_s = fold_timer.seconds();
-    report->finish();
-  }
+  if (report != nullptr) report->fold_s = fold_timer.seconds();
 }
 
 }  // namespace ust::shard

@@ -1,9 +1,11 @@
 #include "shard/sharder.hpp"
 
+#include "util/bits.hpp"
+
 namespace ust::shard {
 
 ShardingResult make_shards(nnz_t nnz, std::span<const std::uint64_t> bf_words,
-                           unsigned threadlen, unsigned workers, nnz_t chunk_nnz,
+                           unsigned threadlen, nnz_t chunk_nnz,
                            const core::ShardOptions& opt) {
   UST_EXPECTS(opt.num_devices >= 1);
   ShardingResult result;
@@ -12,7 +14,7 @@ ShardingResult make_shards(nnz_t nnz, std::span<const std::uint64_t> bf_words,
   if (nnz == 0) return result;
 
   const std::vector<core::native::Chunk> grid =
-      core::native::make_chunks(nnz, threadlen, workers, chunk_nnz);
+      core::native::make_chunks(nnz, threadlen, chunk_nnz);
   result.grid_chunks = grid.size();
 
   // Per-chunk balance weight and its prefix sum. cum[i] = weight of chunks
@@ -21,7 +23,7 @@ ShardingResult make_shards(nnz_t nnz, std::span<const std::uint64_t> bf_words,
   for (std::size_t c = 0; c < grid.size(); ++c) {
     const nnz_t w = opt.balance == core::ShardBalance::kNnz
                         ? grid[c].hi - grid[c].lo
-                        : pipeline::heads_in_range(bf_words, grid[c].lo, grid[c].hi);
+                        : count_ones(bf_words, grid[c].lo, grid[c].hi);
     cum[c + 1] = cum[c] + w;
   }
   const nnz_t total = cum.back();

@@ -32,17 +32,17 @@ struct ShardingResult {
   std::vector<pipeline::StreamChunk> shards;
 };
 
-/// Splits the worker grid make_chunks(nnz, threadlen, workers, chunk_nnz)
-/// into opt.num_devices contiguous shards. Device d receives grid chunks
+/// Splits the worker grid make_chunks(nnz, threadlen, chunk_nnz) into
+/// opt.num_devices contiguous shards. Device d receives grid chunks
 /// [cut_d, cut_{d+1}) where cut_d is the smallest prefix whose cumulative
-/// balance weight reaches d/num_devices of the total -- deterministic in
-/// (nnz, threadlen, workers, chunk_nnz, balance, num_devices), which the
-/// bitwise-equivalence guarantee rests on. Weights: kNnz charges a chunk its
-/// non-zero count; kSegments charges it the number of segments that *start*
-/// inside it (head-flag popcount), so segment-heavy regions get fewer
-/// non-zeros per shard.
+/// balance weight reaches d/num_devices of the total -- a function of
+/// (nnz, threadlen, chunk_nnz, balance, num_devices) and of no pool width,
+/// which the bitwise-equivalence guarantee rests on. Weights: kNnz charges a
+/// chunk its non-zero count; kSegments charges it the number of segments
+/// that *start* inside it (head-flag popcount), so segment-heavy regions get
+/// fewer non-zeros per shard.
 ShardingResult make_shards(nnz_t nnz, std::span<const std::uint64_t> bf_words,
-                           unsigned threadlen, unsigned workers, nnz_t chunk_nnz,
+                           unsigned threadlen, nnz_t chunk_nnz,
                            const core::ShardOptions& opt);
 
 }  // namespace ust::shard

@@ -1,7 +1,6 @@
 #include "tensor/fcoo.hpp"
 
 #include <algorithm>
-#include <bit>
 
 namespace ust {
 
@@ -75,16 +74,15 @@ std::vector<index_t> first_segment_per_partition(std::span<const std::uint64_t> 
   UST_EXPECTS(bf.size() >= ceil_div<nnz_t>(nnz, 64));
   std::vector<index_t> first_seg(ceil_div<nnz_t>(nnz, threadlen));
   if (nnz == 0) return first_seg;
-  // Heads in [1, x] = heads in [0, x] minus bit 0; popcount a word at a time.
-  const nnz_t head0 = bf[0] & 1u;
-  nnz_t word = 0;
-  nnz_t before = 0;  // heads in words [0, word)
+  // The segment open at x is the number of heads in [1, x]; each partition
+  // adds the heads since the previous partition's first non-zero.
+  nnz_t seg = 0;
+  nnz_t at = 0;
   for (nnz_t t = 0; t < first_seg.size(); ++t) {
     const nnz_t x = t * threadlen;
-    for (; word < (x >> 6); ++word) before += static_cast<nnz_t>(std::popcount(bf[word]));
-    const std::uint64_t through_x = ~std::uint64_t{0} >> (63 - (x & 63));
-    const nnz_t heads = before + static_cast<nnz_t>(std::popcount(bf[word] & through_x));
-    first_seg[t] = static_cast<index_t>(heads - head0);
+    seg += count_ones(bf, at + 1, x + 1);
+    at = x;
+    first_seg[t] = static_cast<index_t>(seg);
   }
   return first_seg;
 }

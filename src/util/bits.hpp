@@ -3,6 +3,7 @@
 // analysis assumes (Table II charges 1/8 byte per non-zero for bf).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -10,6 +11,25 @@
 #include "util/common.hpp"
 
 namespace ust {
+
+/// Number of set bits in global positions [lo, hi) of a packed little-endian
+/// word array, counted a 64-bit word at a time (0 when lo >= hi). The head
+/// counter of the F-COO start flags, the stream chunker and the sharder.
+inline nnz_t count_ones(std::span<const std::uint64_t> words, nnz_t lo, nnz_t hi) {
+  if (lo >= hi) return 0;
+  const nnz_t first = lo >> 6;
+  const nnz_t last = (hi - 1) >> 6;
+  const std::uint64_t from_lo = ~std::uint64_t{0} << (lo & 63);
+  const std::uint64_t through_hi = ~std::uint64_t{0} >> (63 - ((hi - 1) & 63));
+  if (first == last) {
+    return static_cast<nnz_t>(std::popcount(words[first] & from_lo & through_hi));
+  }
+  nnz_t count = static_cast<nnz_t>(std::popcount(words[first] & from_lo));
+  for (nnz_t w = first + 1; w < last; ++w) {
+    count += static_cast<nnz_t>(std::popcount(words[w]));
+  }
+  return count + static_cast<nnz_t>(std::popcount(words[last] & through_hi));
+}
 
 class BitArray {
  public:

@@ -119,7 +119,7 @@ TEST(BackendEquivalence, RandomizedSweepAllOpsAllStrategies) {
 }
 
 TEST(BackendEquivalence, NativeIsRunToRunDeterministic) {
-  // Chunk boundaries depend only on (nnz, threadlen, pool size) and the
+  // Chunk boundaries depend only on (nnz, threadlen, chunk_nnz) and the
   // carry pass combines boundary partials left-to-right, so the native
   // backend must be bitwise reproducible regardless of worker scheduling.
   Prng rng(0xD07);

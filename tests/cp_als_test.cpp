@@ -135,31 +135,29 @@ TEST(CpAls, UnifiedModeChunksAreBalanced) {
   sim::Device dev;
   engine::Engine eng(dev);
   const Partitioning part = basic_options(8).part;
-  for (const unsigned workers : {1u, 2u, 3u, 4u, 8u, dev.pool().size() + 1}) {
-    std::vector<core::native::Chunk> mode0_grid;
-    for (int mode = 0; mode < 3; ++mode) {
-      const auto plan = eng.plan(lr.tensor, engine::OpKind::kSpMTTKRP, mode, part);
-      const core::FcooView f = plan->unified_plan().view();
-      ASSERT_EQ(f.nnz, lr.tensor.nnz());
-      const auto grid = core::native::make_chunks(f.nnz, f.threadlen, workers);
-      nnz_t covered = 0, min_parts = f.nnz, max_parts = 0;
-      for (const auto& c : grid) {
-        const nnz_t parts = ceil_div<nnz_t>(c.hi - c.lo, f.threadlen);
-        min_parts = std::min(min_parts, parts);
-        max_parts = std::max(max_parts, parts);
-        covered += c.hi - c.lo;
-      }
-      EXPECT_EQ(covered, f.nnz);
-      EXPECT_LE(max_parts - min_parts, 1u) << "mode " << mode << ", " << workers << " workers";
-      if (mode == 0) {
-        mode0_grid = grid;
-        continue;
-      }
-      ASSERT_EQ(grid.size(), mode0_grid.size()) << "mode " << mode;
-      for (std::size_t k = 0; k < grid.size(); ++k) {
-        EXPECT_EQ(grid[k].lo, mode0_grid[k].lo);
-        EXPECT_EQ(grid[k].hi, mode0_grid[k].hi);
-      }
+  std::vector<core::native::Chunk> mode0_grid;
+  for (int mode = 0; mode < 3; ++mode) {
+    const auto plan = eng.plan(lr.tensor, engine::OpKind::kSpMTTKRP, mode, part);
+    const core::FcooView f = plan->unified_plan().view();
+    ASSERT_EQ(f.nnz, lr.tensor.nnz());
+    const auto grid = core::native::make_chunks(f.nnz, f.threadlen);
+    nnz_t covered = 0, min_parts = f.nnz, max_parts = 0;
+    for (const auto& c : grid) {
+      const nnz_t parts = ceil_div<nnz_t>(c.hi - c.lo, f.threadlen);
+      min_parts = std::min(min_parts, parts);
+      max_parts = std::max(max_parts, parts);
+      covered += c.hi - c.lo;
+    }
+    EXPECT_EQ(covered, f.nnz);
+    EXPECT_LE(max_parts - min_parts, 1u) << "mode " << mode;
+    if (mode == 0) {
+      mode0_grid = grid;
+      continue;
+    }
+    ASSERT_EQ(grid.size(), mode0_grid.size()) << "mode " << mode;
+    for (std::size_t k = 0; k < grid.size(); ++k) {
+      EXPECT_EQ(grid[k].lo, mode0_grid[k].lo);
+      EXPECT_EQ(grid[k].hi, mode0_grid[k].hi);
     }
   }
 }

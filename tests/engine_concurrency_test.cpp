@@ -2,11 +2,10 @@
 // SpTTM / SpMTTKRP / SpTTMc / SpTTV jobs (including streaming jobs) at ONE
 // engine with a multi-device group, and every result must be BITWISE
 // identical to the same request executed sequentially with run(). The native
-// worker grid is deterministic in (nnz, threadlen, workers, chunk_nnz) and
-// every device's pool has the primary's slot count, so a job's result cannot
-// depend on which device admission picked or on how client threads
-// interleave -- the engine's determinism argument, checked here with exact
-// float equality. The suite is run under both asan and tsan in CI.
+// worker grid is a function of (nnz, threadlen, chunk_nnz) alone, so a job's
+// result cannot depend on which device admission picked or on how client
+// threads interleave -- the engine's determinism argument, checked here with
+// exact float equality. The suite is run under both asan and tsan in CI.
 #include <gtest/gtest.h>
 
 #include <future>

@@ -33,7 +33,7 @@ TEST(Chunker, EmptyTensorYieldsNoChunks) {
   const FcooTensor f = mttkrp_fcoo(segmented_tensor(0, 0));
   const ChunkerResult r =
       make_stream_chunks(f, Partitioning{.threadlen = 8, .block_size = 32},
-                         StreamingOptions{.enabled = true, .chunk_nnz = 16}, 4);
+                         StreamingOptions{.enabled = true, .chunk_nnz = 16});
   EXPECT_TRUE(r.chunks.empty());
 }
 
@@ -41,7 +41,7 @@ TEST(Chunker, NnzSmallerThanOneChunkIsSingleChunk) {
   const FcooTensor f = mttkrp_fcoo(segmented_tensor(3, 2));  // nnz = 6
   const ChunkerResult r = make_stream_chunks(
       f, Partitioning{.threadlen = 8, .block_size = 32},
-      StreamingOptions{.enabled = true, .chunk_bytes = 1u << 30, .chunk_nnz = 1024}, 1);
+      StreamingOptions{.enabled = true, .chunk_bytes = 1u << 30, .chunk_nnz = 1024});
   ASSERT_EQ(r.chunks.size(), 1u);
   EXPECT_EQ(r.chunks[0].lo, 0u);
   EXPECT_EQ(r.chunks[0].hi, f.nnz());
@@ -61,8 +61,7 @@ TEST(Chunker, ChunksCoverNnzContiguouslyAndAlignToThreadlen) {
     const Partitioning part{.threadlen = threadlen, .block_size = 32};
     const nnz_t chunk = threadlen * (1 + rng.next_below(8));
     const ChunkerResult r = make_stream_chunks(
-        f, part, StreamingOptions{.enabled = true, .chunk_bytes = 0, .chunk_nnz = chunk},
-        3);
+        f, part, StreamingOptions{.enabled = true, .chunk_bytes = 0, .chunk_nnz = chunk});
     ASSERT_FALSE(r.chunks.empty());
     EXPECT_EQ(r.chunk_nnz, chunk);
     nnz_t expect_lo = 0;
@@ -93,7 +92,7 @@ TEST(Chunker, BoundarySplittingASegmentKeepsSegmentMetadataExact) {
   ASSERT_EQ(f.num_segments(), 1u);
   const ChunkerResult r = make_stream_chunks(
       f, Partitioning{.threadlen = 8, .block_size = 32},
-      StreamingOptions{.enabled = true, .chunk_bytes = 0, .chunk_nnz = 16}, 1);
+      StreamingOptions{.enabled = true, .chunk_bytes = 0, .chunk_nnz = 16});
   ASSERT_GT(r.chunks.size(), 1u);
   for (const StreamChunk& sc : r.chunks) {
     EXPECT_EQ(sc.first_seg, 0u);
@@ -117,50 +116,54 @@ TEST(Chunker, SegmentMetadataMatchesRankQueries) {
     const Partitioning part{.threadlen = 8, .block_size = 32};
     expect_metadata_matches_rank(
         f, make_stream_chunks(
-               f, part, StreamingOptions{.enabled = true, .chunk_bytes = 0, .chunk_nnz = 32},
-               2));
+               f, part, StreamingOptions{.enabled = true, .chunk_bytes = 0, .chunk_nnz = 32}));
   }
   // Chunks spanning thousands of head-flag words, with boundaries on word
-  // edges (threadlen 64) and next to them (63, 65): one worker chunk per
-  // stream chunk, and worker chunks of ~1000 words grouped under a byte
-  // budget. Then every non-zero a head, and one segment throughout.
+  // edges (threadlen 64) and next to them (63, 65). Two grids per input: the
+  // default 16 worker chunks, and a cap of 40 partitions (27 or more worker
+  // chunks). Each runs with one worker chunk per stream chunk, and with
+  // worker chunks grouped under a byte budget of 40000 non-zeros. Then every
+  // non-zero a head, and one segment throughout.
   const index_t big = (1u << 16) + 4321;
   for (const CooTensor& t :
        {test::mixed_segment_coo3(rng, 3 * big), segmented_tensor(big, 1), segmented_tensor(1, big)}) {
     const FcooTensor f = mttkrp_fcoo(t);
     for (const unsigned threadlen : {63u, 64u, 65u}) {
       const Partitioning part{.threadlen = threadlen, .block_size = 32};
-      for (const unsigned workers : {2u, 4u}) {
+      for (const nnz_t cap : {nnz_t{0}, nnz_t{40} * threadlen}) {
         SCOPED_TRACE(testing::Message() << "nnz " << f.nnz() << " threadlen " << threadlen
-                                        << " workers " << workers);
-        expect_metadata_matches_rank(
-            f, make_stream_chunks(f, part, StreamingOptions{.enabled = true, .chunk_bytes = 0},
-                                  workers));
-        expect_metadata_matches_rank(
-            f, make_stream_chunks(f, part,
-                                  StreamingOptions{.enabled = true,
-                                                   .chunk_bytes = 3 * 64000 * plan_bytes_per_nnz(2),
-                                                   .chunk_nnz = threadlen * 1000},
-                                  workers));
+                                        << " chunk_nnz " << cap);
+        const ChunkerResult single = make_stream_chunks(
+            f, part, StreamingOptions{.enabled = true, .chunk_bytes = 0, .chunk_nnz = cap});
+        EXPECT_EQ(single.chunks.size(),
+                  cap == 0 ? 16u : ceil_div<nnz_t>(ceil_div<nnz_t>(f.nnz(), threadlen), 40));
+        expect_metadata_matches_rank(f, single);
+        const ChunkerResult grouped = make_stream_chunks(
+            f, part,
+            StreamingOptions{.enabled = true,
+                             .chunk_bytes = 40000 * plan_bytes_per_nnz(2),
+                             .chunk_nnz = cap});
+        EXPECT_LT(grouped.chunks.size(), single.chunks.size());
+        EXPECT_GT(grouped.chunks.size(), 1u);
+        expect_metadata_matches_rank(f, grouped);
       }
     }
   }
 }
 
 TEST(Chunker, ByteBudgetGroupsWorkerChunks) {
-  const FcooTensor f = mttkrp_fcoo(segmented_tensor(16, 16));  // nnz = 256
+  const FcooTensor f = mttkrp_fcoo(segmented_tensor(32, 32));  // nnz = 1024
   const Partitioning part{.threadlen = 8, .block_size = 32};
-  // Worker grid capped at 32 nnz -> 8 worker chunks. A budget of two worker
+  // Worker grid capped at 32 nnz -> 32 worker chunks. A budget of two worker
   // chunks' bytes groups them in pairs.
   const std::size_t worker_bytes = 32 * plan_bytes_per_nnz(2);
   const ChunkerResult grouped = make_stream_chunks(
       f, part,
-      StreamingOptions{.enabled = true, .chunk_bytes = 2 * worker_bytes, .chunk_nnz = 32},
-      1);
+      StreamingOptions{.enabled = true, .chunk_bytes = 2 * worker_bytes, .chunk_nnz = 32});
   const ChunkerResult single = make_stream_chunks(
-      f, part, StreamingOptions{.enabled = true, .chunk_bytes = 0, .chunk_nnz = 32}, 1);
-  EXPECT_EQ(single.chunks.size(), 8u);
-  EXPECT_EQ(grouped.chunks.size(), 4u);
+      f, part, StreamingOptions{.enabled = true, .chunk_bytes = 0, .chunk_nnz = 32});
+  EXPECT_EQ(single.chunks.size(), 32u);
+  EXPECT_EQ(grouped.chunks.size(), 16u);
   for (const StreamChunk& sc : grouped.chunks) {
     EXPECT_EQ(sc.workers.size(), 2u);
     EXPECT_LE(sc.est_device_bytes, 2 * worker_bytes);

@@ -283,10 +283,8 @@ TEST(ShardEquivalence, ReportAccountsForEveryDeviceAndChunk) {
     total_chunks += d.chunks;
   }
   EXPECT_EQ(total_nnz, t.nnz());
-  const auto grid = core::native::make_chunks(t.nnz(), part.threadlen,
-                                              dev.pool().size() + 1, 16);
+  const auto grid = core::native::make_chunks(t.nnz(), part.threadlen, 16);
   EXPECT_EQ(total_chunks, grid.size());
-  EXPECT_GE(report.makespan_s, 0.0);
   // Device ordinals are 0..N-1 in order.
   for (std::size_t d = 0; d < report.devices.size(); ++d) {
     EXPECT_EQ(report.devices[d].ordinal, static_cast<int>(d));

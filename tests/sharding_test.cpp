@@ -48,8 +48,8 @@ CooTensor skewed_tensor(index_t tiny, index_t giant, index_t giant_len) {
 }
 
 ShardingResult shards_of(const FcooTensor& f, unsigned threadlen, unsigned devices,
-                         ShardBalance balance, nnz_t chunk_nnz = 0, unsigned workers = 3) {
-  return make_shards(f.nnz(), f.bit_flags().words(), threadlen, workers, chunk_nnz,
+                         ShardBalance balance, nnz_t chunk_nnz = 0) {
+  return make_shards(f.nnz(), f.bit_flags().words(), threadlen, chunk_nnz,
                      ShardOptions{.num_devices = devices, .balance = balance});
 }
 
@@ -86,7 +86,7 @@ TEST(Sharder, ShardsCoverNnzContiguouslyOnWorkerGridBoundaries) {
     const ShardingResult r = shards_of(f, threadlen, devices, balance, cap);
 
     ASSERT_EQ(r.shards.size(), devices);
-    const auto grid = core::native::make_chunks(f.nnz(), threadlen, 3, cap);
+    const auto grid = core::native::make_chunks(f.nnz(), threadlen, cap);
     EXPECT_EQ(r.grid_chunks, grid.size());
     nnz_t expect_lo = 0;
     std::size_t total_chunks = 0;
@@ -176,8 +176,10 @@ TEST(Sharder, SegmentBalanceSplitsSkewedSegmentsEvenly) {
 }
 
 TEST(Sharder, MoreDevicesThanChunksYieldsEmptyShards) {
-  const FcooTensor f = test::make_mttkrp_fcoo(segmented_tensor(3, 2), 0);  // nnz = 6
-  const ShardingResult r = shards_of(f, 8, 5, ShardBalance::kNnz, 0, /*workers=*/1);
+  // nnz = 6 at threadlen 8: one partition, so one worker chunk for 5 devices.
+  const FcooTensor f = test::make_mttkrp_fcoo(segmented_tensor(3, 2), 0);
+  const ShardingResult r = shards_of(f, 8, 5, ShardBalance::kNnz);
+  ASSERT_EQ(r.grid_chunks, 1u);
   ASSERT_EQ(r.shards.size(), 5u);
   std::size_t non_empty = 0;
   for (const pipeline::StreamChunk& s : r.shards) {
@@ -191,8 +193,8 @@ TEST(Sharder, MoreDevicesThanChunksYieldsEmptyShards) {
 }
 
 TEST(Sharder, EmptyTensorYieldsEmptyShards) {
-  const ShardingResult r = make_shards(
-      0, {}, 8, 3, 0, ShardOptions{.num_devices = 3, .balance = ShardBalance::kNnz});
+  const ShardingResult r =
+      make_shards(0, {}, 8, 0, ShardOptions{.num_devices = 3, .balance = ShardBalance::kNnz});
   ASSERT_EQ(r.shards.size(), 3u);
   for (const pipeline::StreamChunk& s : r.shards) {
     EXPECT_EQ(s.lo, s.hi);
