@@ -20,12 +20,11 @@ std::vector<Chunk> make_chunks(nnz_t nnz, unsigned threadlen, nnz_t max_chunk_nn
   UST_EXPECTS(threadlen >= 1);
   const nnz_t partitions = ceil_div<nnz_t>(nnz, threadlen);
   // 16 chunks give a 4-thread pool four per thread of slack for dynamic load
-  // balancing; one chunk per 2^17 non-zeros keeps a large tensor's chunks
-  // small enough to spread over a wider pool. Neither term reads the pool,
-  // so every pool width runs the same grid. A non-zero max_chunk_nnz raises
-  // the chunk count until every chunk fits the cap -- the knob the streaming
-  // pipeline and the tuner's fourth axis share.
-  nnz_t target = std::max<nnz_t>(16, ceil_div<nnz_t>(nnz, nnz_t{1} << 17));
+  // balancing. The count reads no pool, so every pool width runs the same
+  // grid; a pool wider than 16 threads leaves threads idle in phase 1. A
+  // non-zero max_chunk_nnz raises the chunk count until every chunk fits the
+  // cap -- the knob the streaming pipeline and the tuner's fourth axis share.
+  nnz_t target = 16;
   if (max_chunk_nnz != 0) {
     const nnz_t cap_partitions = std::max<nnz_t>(1, max_chunk_nnz / threadlen);
     target = std::max(target, ceil_div<nnz_t>(partitions, cap_partitions));

@@ -69,15 +69,14 @@ struct Chunk {
   nnz_t hi = 0;
 };
 
-/// The native worker grid: splits [0, nnz) into 16 chunks, or one per 2^17
-/// non-zeros when that gives more, each aligned to `threadlen` partition
-/// boundaries and never more chunks than partitions. A non-zero
-/// `max_chunk_nnz` (a multiple of threadlen, see core::validate) additionally
-/// caps every chunk's size, raising the chunk count as needed. The grid is a
-/// function of (nnz, threadlen, max_chunk_nnz) alone -- any number of pool
-/// threads runs it -- which is what bitwise identity across thread counts,
-/// devices, streaming and sharding rests on. Returns an empty vector for an
-/// empty tensor.
+/// The native worker grid: splits [0, nnz) into 16 chunks, each aligned to
+/// `threadlen` partition boundaries, never more chunks than partitions. A
+/// non-zero `max_chunk_nnz` (a multiple of threadlen, see core::validate)
+/// additionally caps every chunk's size, raising the chunk count as needed.
+/// The grid is a function of (nnz, threadlen, max_chunk_nnz) alone -- any
+/// number of pool threads runs it -- which is what bitwise identity across
+/// thread counts, devices, streaming and sharding rests on. Returns an empty
+/// vector for an empty tensor.
 std::vector<Chunk> make_chunks(nnz_t nnz, unsigned threadlen, nnz_t max_chunk_nnz = 0);
 
 /// One contiguous column sub-range of one batched request's output, placed in

@@ -98,9 +98,9 @@ struct UnifiedOptions {
   unsigned column_tile = 0;  // 0 = auto; 1 = paper layout; n = fixed tile
   ExecBackend backend = ExecBackend::kNative;  // sim path is the oracle
   /// Native backend only: caps the worker-chunk size (in non-zeros) of the
-  /// accumulation grid. 0 = auto (16 chunks, or one per 2^17 non-zeros,
-  /// whatever the pool width; see native::make_chunks); non-zero values
-  /// must be a multiple of the plan's threadlen (see core::validate). The
+  /// accumulation grid. 0 = auto (16 chunks whatever the pool width; see
+  /// native::make_chunks); non-zero values must be a multiple of the
+  /// plan's threadlen (see core::validate). The
   /// streaming pipeline shares this grid, which is what makes chunked
   /// execution bitwise identical to single-shot native; the auto-tuner
   /// sweeps it as a fourth grid axis (core::tune_backends).

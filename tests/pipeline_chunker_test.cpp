@@ -118,12 +118,15 @@ TEST(Chunker, SegmentMetadataMatchesRankQueries) {
         f, make_stream_chunks(
                f, part, StreamingOptions{.enabled = true, .chunk_bytes = 0, .chunk_nnz = 32}));
   }
-  // Chunks spanning thousands of head-flag words, with boundaries on word
-  // edges (threadlen 64) and next to them (63, 65). Two grids per input: the
-  // default 16 worker chunks, and a cap of 40 partitions (27 or more worker
+  // Chunks spanning hundreds to thousands of head-flag words, with
+  // boundaries on word edges (threadlen 64) and next to them (63, 65). Two
+  // grids per input: the default 16 worker chunks (about 200 words each on
+  // the 210k-nnz input), and a cap of 40 partitions (27 or more worker
   // chunks). Each runs with one worker chunk per stream chunk, and with
-  // worker chunks grouped under a byte budget of 40000 non-zeros. Then every
-  // non-zero a head, and one segment throughout.
+  // worker chunks grouped under a byte budget of 40000 non-zeros (about 600
+  // words a stream chunk) and of three quarters of the tensor (two stream
+  // chunks; the first spans about 2450 words of the 210k-nnz input). Then
+  // every non-zero a head, and one segment throughout.
   const index_t big = (1u << 16) + 4321;
   for (const CooTensor& t :
        {test::mixed_segment_coo3(rng, 3 * big), segmented_tensor(big, 1), segmented_tensor(1, big)}) {
@@ -138,14 +141,16 @@ TEST(Chunker, SegmentMetadataMatchesRankQueries) {
         EXPECT_EQ(single.chunks.size(),
                   cap == 0 ? 16u : ceil_div<nnz_t>(ceil_div<nnz_t>(f.nnz(), threadlen), 40));
         expect_metadata_matches_rank(f, single);
-        const ChunkerResult grouped = make_stream_chunks(
-            f, part,
-            StreamingOptions{.enabled = true,
-                             .chunk_bytes = 40000 * plan_bytes_per_nnz(2),
-                             .chunk_nnz = cap});
-        EXPECT_LT(grouped.chunks.size(), single.chunks.size());
-        EXPECT_GT(grouped.chunks.size(), 1u);
-        expect_metadata_matches_rank(f, grouped);
+        for (const nnz_t budget : {nnz_t{40000}, f.nnz() * 3 / 4}) {
+          const ChunkerResult grouped = make_stream_chunks(
+              f, part,
+              StreamingOptions{.enabled = true,
+                               .chunk_bytes = budget * plan_bytes_per_nnz(2),
+                               .chunk_nnz = cap});
+          EXPECT_LT(grouped.chunks.size(), single.chunks.size()) << "budget " << budget;
+          EXPECT_GT(grouped.chunks.size(), 1u) << "budget " << budget;
+          expect_metadata_matches_rank(f, grouped);
+        }
       }
     }
   }

@@ -185,21 +185,13 @@ nnz_t covered_and_aligned(const std::vector<core::native::Chunk>& grid, nnz_t nn
   return at;
 }
 
-TEST(WorkerGrid, SixteenChunksUpTo2To21NonZeros) {
-  for (const nnz_t nnz : {nnz_t{16 * 64}, nnz_t{48000}, nnz_t{1200000}, nnz_t{1} << 21}) {
+TEST(WorkerGrid, SixteenChunksAtEverySize) {
+  // From 16 partitions up to nell2's full 77M non-zeros.
+  for (const nnz_t nnz : {nnz_t{16 * 64}, nnz_t{48000}, nnz_t{1200000}, nnz_t{77000000}}) {
     const auto grid = core::native::make_chunks(nnz, 64);
     EXPECT_EQ(grid.size(), 16u) << nnz;
     EXPECT_EQ(covered_and_aligned(grid, nnz, 64), nnz);
   }
-}
-
-TEST(WorkerGrid, OneChunkPer2To17NonZerosAbove2To21) {
-  EXPECT_EQ(core::native::make_chunks((nnz_t{1} << 21) + 1, 1).size(), 17u);
-  EXPECT_EQ(core::native::make_chunks(3000000, 64).size(), 23u);
-  const nnz_t nell2_paper = 77000000;
-  const auto grid = core::native::make_chunks(nell2_paper, 64);
-  EXPECT_EQ(grid.size(), ceil_div<nnz_t>(nell2_paper, nnz_t{1} << 17));
-  EXPECT_EQ(covered_and_aligned(grid, nell2_paper, 64), nell2_paper);
 }
 
 TEST(WorkerGrid, NeverMoreChunksThanPartitions) {
@@ -220,8 +212,8 @@ TEST(WorkerGrid, CapRaisesTheChunkCount) {
   EXPECT_EQ(grid.size(), 75u);
   for (const core::native::Chunk& c : grid) EXPECT_LE(c.hi - c.lo, 640u);
   EXPECT_EQ(covered_and_aligned(grid, nnz, 64), nnz);
-  // A cap raises the count above 2^21 too, and still stops at one chunk per
-  // partition.
+  // 46875 partitions at 1000 per chunk: 47 chunks. A cap never goes past
+  // one chunk per partition.
   EXPECT_EQ(core::native::make_chunks(3000000, 64, 64 * 1000).size(), 47u);
   EXPECT_EQ(core::native::make_chunks(nnz, 64, 64).size(), 750u);
 }
