@@ -120,8 +120,7 @@ int main(int argc, char** argv) {
 
     // Observability overhead (DESIGN.md §14): the identical native run timed
     // with the span tracer's runtime switch flipped on. Spans are per-pass /
-    // per-chunk, never per-non-zero, so the ratio must stay under 1.05; with
-    // UST_OBS=0 the hooks compile out entirely and the switch has no effect.
+    // per-chunk, never per-non-zero, so the ratio must stay under 1.05.
     double traced_s;
     {
       obs::set_tracing(true);

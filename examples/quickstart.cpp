@@ -89,9 +89,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(eng.device(0).counters().atomic_ops));
 
   // --- 4. Concurrent submission ---------------------------------------------
-  // submit() admits jobs round-robin to the device group and returns futures;
-  // results are bitwise identical to the sequential runs above (native
-  // backend). This is the serving path: N clients, one engine.
+  // submit() places jobs on the least-loaded device of the group and returns
+  // futures; results are bitwise identical to the sequential runs above. It
+  // takes native single-device jobs only. This is the serving path: N
+  // clients, one engine.
   if (kernel_opt.backend == core::ExecBackend::kNative) {
     eng.prewarm(*mttkrp.op_plan());
     std::vector<DenseMatrix> outs(4, DenseMatrix(x.dim(0), rank));

@@ -1,7 +1,6 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <numeric>
 
 #include "core/native_exec.hpp"
@@ -78,17 +77,6 @@ void accumulate_cache_stats(pipeline::PlanCache::Stats& total,
   total.entries += s.entries;
 }
 
-/// Steady-clock nanoseconds for JobRecord::wait_s -- independent of the obs
-/// tracer, which may be compiled out (obs::now_ns then returns 0).
-std::uint64_t steady_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
-
 }  // namespace
 
 const char* op_kind_name(OpKind kind) {
@@ -130,7 +118,6 @@ Engine::Engine(sim::Device& primary, const EngineOptions& opt)
 }
 
 void Engine::init_group(sim::Device& primary, const EngineOptions& opt) {
-  latency_max_skips_ = opt.latency_max_skips;
   group_ = std::make_unique<shard::DeviceGroup>(primary, std::max(1u, opt.num_devices),
                                                 opt.cache_bytes_per_device);
   while (rt_.size() < group_->size()) rt_.emplace_back();
@@ -143,7 +130,6 @@ Engine::~Engine() {
   }
   queue_cv_.notify_all();
   space_cv_.notify_all();
-  resv_cv_.notify_all();
   // Workers drain their queues (resolving every outstanding future) before
   // exiting; the group -- and with it every per-device cache entry -- is
   // destroyed afterwards, while all devices are still alive.
@@ -440,9 +426,10 @@ void Engine::exec_batch(unsigned d, DeviceRt& rt, std::span<const OpRequest* con
   }
 
   // Device-resident plan: the primary bundle on device 0, a cached
-  // whole-range replica elsewhere (native only -- the simulator is pinned to
-  // the primary, where the UnifiedPlan lives). Compatible requests share the
-  // plan by construction, so one view serves the whole batch.
+  // whole-range replica elsewhere (native only -- sim-backend requests run
+  // only through run(), on the primary, where the UnifiedPlan lives).
+  // Compatible requests share the plan by construction, so one view serves
+  // the whole batch.
   std::shared_ptr<const pipeline::CachedPlan> replica;
   core::FcooView view;
   std::array<const index_t*, kMaxProductModes> px{};
@@ -621,35 +608,23 @@ void Engine::run_sharded_impl(const OpRequest& req, shard::Report* report) {
   ensure_devices(n);
 
   std::vector<DeviceRt*> rts;
-  {
-    std::lock_guard lock(state_mutex_);
-    rts.reserve(n);
-    for (unsigned d = 0; d < n; ++d) rts.push_back(&rt_[d]);
-  }
-  ActiveJobGuard guard(state_mutex_, active_jobs_, queued_total_, grow_waiters_,
-                       idle_cv_, space_cv_);
-  // One in-flight job per device: a sharded run owns devices 0..n-1 (locked
-  // in ascending order; workers only ever hold their own single mutex or
-  // this same ascending span, so no deadlock).
-  std::vector<std::unique_lock<std::mutex>> exec_locks;
-  exec_locks.reserve(n);
-  for (DeviceRt* rt : rts) exec_locks.emplace_back(rt->exec_mutex);
-  exec_sharded_body(req, report);
-}
-
-void Engine::exec_sharded_body(const OpRequest& req, shard::Report* report) {
-  const OpPlan& p = *req.plan;
-  const unsigned n = std::max(1u, req.options.shard.num_devices);
-  std::vector<DeviceRt*> rts;
   sim::Device* dev0 = nullptr;
   {
     std::lock_guard lock(state_mutex_);
-    UST_EXPECTS(rt_.size() >= n);
     rts.reserve(n);
     for (unsigned d = 0; d < n; ++d) rts.push_back(&rt_[d]);
     dev0 = &group_->device(0);
   }
+  ActiveJobGuard guard(state_mutex_, active_jobs_, queued_total_, grow_waiters_,
+                       idle_cv_, space_cv_);
+  // One in-flight job per device: a sharded run owns devices 0..n-1 (locked
+  // in ascending order; workers only ever hold their own single mutex and
+  // every sharded run takes this same ascending order, so no deadlock).
+  std::vector<std::unique_lock<std::mutex>> exec_locks;
+  exec_locks.reserve(n);
+  for (DeviceRt* rt : rts) exec_locks.emplace_back(rt->exec_mutex);
 
+  const OpPlan& p = *req.plan;
   const std::size_t nprod = p.product_modes.size();
   const index_t r0 = req.inputs[0].cols;
   const index_t r1 = req.inputs.size() > 1 ? req.inputs[1].cols : 1;
@@ -700,12 +675,7 @@ void Engine::exec_sharded_body(const OpRequest& req, shard::Report* report) {
 
 unsigned Engine::pick_device_locked(const OpRequest& req) {
   const unsigned n = static_cast<unsigned>(rt_.size());
-  // Pins: the simulator needs the primary's UnifiedPlan; a sharded job's
-  // reservation is anchored at device 0 (its worker performs it).
-  if (req.options.backend == core::ExecBackend::kSim ||
-      req.options.shard.num_devices > 1 || n <= 1) {
-    return 0;
-  }
+  if (n <= 1) return 0;
 
   // Batch-affinity placement first: a job that could fuse with one already
   // queued lands on that job's device, so the worker's coalescing pop (and
@@ -744,7 +714,7 @@ void Engine::enqueue_locked(unsigned d, Job&& job) {
     auto pos = rt.queue.begin();
     while (pos != rt.queue.end() &&
            (pos->req.service_class == OpRequest::ServiceClass::kLatency ||
-            pos->skips >= latency_max_skips_)) {
+            pos->skips >= kLatencyMaxSkips)) {
       ++pos;
     }
     for (auto it = pos; it != rt.queue.end(); ++it) {
@@ -761,13 +731,14 @@ std::future<void> Engine::submit(OpRequest req, JobRecord* record, Admission adm
   validate_request(req);
   const OpPlan& p = *req.plan;
   core::validate(p.part, req.options, p.stream);
+  // A queued job may run on any device (placement or a steal picks it).
+  // Sim-backend requests need the primary's UnifiedPlan and sharded ones a
+  // span of devices, so both take the synchronous run().
+  if (req.options.backend != core::ExecBackend::kNative) {
+    throw core::InvalidOptions("Engine::submit: sim-backend requests run through run()");
+  }
   if (req.options.shard.num_devices > 1) {
-    if (req.options.backend != core::ExecBackend::kNative) {
-      throw core::InvalidOptions("Engine::submit: sharded jobs require the native backend");
-    }
-    // Grow on the submitting thread: ensure_devices waits for idleness, which
-    // a worker (whose own job counts as active) could never establish.
-    ensure_devices(req.options.shard.num_devices);
+    throw core::InvalidOptions("Engine::submit: sharded requests run through run()");
   }
   std::future<void> fut;
   {
@@ -794,9 +765,8 @@ std::future<void> Engine::submit(OpRequest req, JobRecord* record, Admission adm
     job.req = std::move(req);
     job.record = record;
     job.on_done = std::move(on_done);
-    job.seq = seq_next_++;
-    job.t_submit_ns = steady_ns();
-    if (obs::tracing_enabled()) job.t_enqueue_ns = obs::now_ns();
+    job.t_submit_ns = obs::now_ns();
+    job.traced = obs::tracing_enabled();
     fut = job.done.get_future();
     const unsigned d = pick_device_locked(job.req);
     enqueue_locked(d, std::move(job));
@@ -807,40 +777,16 @@ std::future<void> Engine::submit(OpRequest req, JobRecord* record, Admission adm
   return fut;
 }
 
-std::size_t Engine::poppable_index_locked(unsigned d) const {
-  const auto& q = rt_[d].queue;
-  if (resv_pending_ && d != 0 && d < resv_n_ && !stop_) {
-    // Reserved device: only work older than the reservation may start (the
-    // drain the sharded job is waiting for). On stop_ everything drains.
-    for (std::size_t i = 0; i < q.size(); ++i) {
-      if (q[i].seq < resv_seq_) return i;
-    }
-    return kNoJob;
-  }
-  return q.empty() ? kNoJob : 0;
-}
-
 int Engine::steal_victim_locked(unsigned d) const {
-  if (resv_pending_ && d < resv_n_ && !stop_) return -1;  // reserved: drain own queue only
   int best = -1;
   std::size_t best_depth = 0;
   for (unsigned v = 0; v < rt_.size(); ++v) {
     if (v == d) continue;
-    const auto& q = rt_[v].queue;
-    std::size_t depth = 0;
-    for (const Job& j : q) {
-      // Pinned jobs (sim backend, sharded reservations) execute only where
-      // placed; everything else is device-agnostic by construction.
-      if (j.req.options.backend == core::ExecBackend::kSim) continue;
-      if (j.req.options.shard.num_devices > 1) continue;
-      ++depth;
-    }
+    const std::size_t depth = rt_[v].queue.size();
     if (depth == 0) continue;
     // Steal backlog the victim cannot service promptly: its worker is mid-
-    // execution, reservation-blocked, or it has more than one job waiting.
-    const bool blocked = rt_[v].active_now > 0 ||
-                         (resv_pending_ && v != 0 && v < resv_n_ && !stop_);
-    if (!blocked && depth < 2) continue;
+    // execution, or it has more than one job waiting.
+    if (rt_[v].active_now == 0 && depth < 2) continue;
     if (depth > best_depth) {
       best_depth = depth;
       best = static_cast<int>(v);
@@ -849,15 +795,15 @@ int Engine::steal_victim_locked(unsigned d) const {
   return best;
 }
 
-std::vector<Engine::Job> Engine::take_group_locked(unsigned v, std::size_t at) {
+std::vector<Engine::Job> Engine::take_group_locked(unsigned v) {
   DeviceRt& rt = rt_[v];
   std::vector<Job> group;
-  group.push_back(std::move(rt.queue[at]));
-  rt.queue.erase(rt.queue.begin() + static_cast<std::ptrdiff_t>(at));
+  group.push_back(std::move(rt.queue.front()));
+  rt.queue.pop_front();
   if (max_batch_ > 1) {
     // Keep the head's whole batch-affinity group together (anywhere in the
-    // queue, preserving the remainder's order) so PR 7's same-plan fusion
-    // still forms on the destination device.
+    // queue, preserving the remainder's order) so same-plan fusion still
+    // forms on the destination device.
     for (auto it = rt.queue.begin();
          it != rt.queue.end() && group.size() < max_batch_;) {
       if (batch_compatible(group.front().req, it->req)) {
@@ -871,48 +817,24 @@ std::vector<Engine::Job> Engine::take_group_locked(unsigned v, std::size_t at) {
   return group;
 }
 
-bool Engine::reservation_drained_locked() const {
-  for (unsigned dd = 1; dd < resv_n_; ++dd) {
-    if (rt_[dd].active_now > 0) return false;
-    for (const Job& j : rt_[dd].queue) {
-      if (j.seq < resv_seq_) return false;
-    }
-  }
-  return true;
-}
-
 void Engine::worker_loop(unsigned d, DeviceRt* rt) {
   for (;;) {
     std::vector<Job> batch;
-    bool stole = false;
     {
       std::unique_lock lock(state_mutex_);
-      std::size_t at = kNoJob;
       int victim = -1;
       queue_cv_.wait(lock, [&] {
-        at = poppable_index_locked(d);
-        if (at != kNoJob) return true;
+        if (!rt->queue.empty()) return true;
         victim = steal_victim_locked(d);
         return victim >= 0 || stop_;
       });
-      if (at == kNoJob && victim < 0) return;  // stop requested and queue drained
-      if (at != kNoJob) {
-        batch = take_group_locked(d, at);
-      } else {
-        // Steal the first STEALABLE job, not the head: the head may be
-        // pinned (sim-backend, or a sharded job that must reserve from its
-        // own device). steal_victim_locked guarantees one exists.
-        const auto& vq = rt_[static_cast<unsigned>(victim)].queue;
-        std::size_t sat = 0;
-        while (sat < vq.size() &&
-               (vq[sat].req.options.backend == core::ExecBackend::kSim ||
-                vq[sat].req.options.shard.num_devices > 1)) {
-          ++sat;
-        }
-        UST_ENSURES(sat < vq.size());
-        batch = take_group_locked(static_cast<unsigned>(victim), sat);
-        stole = true;
+      if (!rt->queue.empty()) {
+        batch = take_group_locked(d);
+      } else if (victim >= 0) {
+        batch = take_group_locked(static_cast<unsigned>(victim));
         ++steals_;
+      } else {
+        return;  // stop requested and queue drained
       }
       queued_total_ -= batch.size();
       active_jobs_ += batch.size();
@@ -923,78 +845,26 @@ void Engine::worker_loop(unsigned d, DeviceRt* rt) {
       }
     }
     space_cv_.notify_all();
-    if (stole) {
-      // The victim's queue changed shape: its worker may now see different
-      // work, and a pending reservation may have just drained.
-      queue_cv_.notify_all();
-      resv_cv_.notify_all();
-    }
     // Queue-wait spans, one per job, measured submit -> dequeue (emitted
     // after the fact since the interval is only known now).
+    const std::uint64_t t_dequeue_ns = obs::now_ns();
     for (const Job& j : batch) {
-      if (j.t_enqueue_ns != 0) {
-        obs::emit_span("engine.queue", j.req.trace_id, j.t_enqueue_ns, "device", d);
+      if (j.traced) {
+        obs::emit_span("engine.queue", j.req.trace_id, j.t_submit_ns, "device", d);
       }
     }
-    const std::uint64_t t_dequeue_ns = steady_ns();
 
-    const bool sharded = batch.front().req.options.shard.num_devices > 1;
     Timer timer;
     std::exception_ptr err;
-    if (sharded) {
-      // A sharded job reaches here only on device 0 (placement pins it and
-      // stealing skips it) and is always a singleton batch.
-      const OpRequest& req = batch.front().req;
-      const unsigned span = req.options.shard.num_devices;
-      {
-        std::unique_lock lock(state_mutex_);
-        resv_pending_ = true;
-        resv_n_ = span;
-        resv_seq_ = batch.front().seq;
-        // Wait out work admitted before this job on the reserved devices;
-        // newer work holds off (poppable_index_locked), so the drain is
-        // reachable under sustained traffic.
-        resv_cv_.wait(lock, [&] { return reservation_drained_locked(); });
-      }
-      timer.reset();
-      try {
-        // Collect runtime slots under the state lock, then lock exec
-        // mutexes with the state lock RELEASED (executing workers take
-        // state_mutex_ while holding their exec_mutex, so holding both here
-        // would invert the order) -- in the same ascending order as
-        // run_sharded_impl, deadlock-free against concurrent synchronous
-        // sharded runs. rt_ is a deque: references stay stable.
-        std::vector<DeviceRt*> rts;
-        {
-          std::lock_guard lock(state_mutex_);
-          rts.reserve(span);
-          for (unsigned dd = 0; dd < span; ++dd) rts.push_back(&rt_[dd]);
-        }
-        std::vector<std::unique_lock<std::mutex>> exec_locks;
-        exec_locks.reserve(span);
-        for (DeviceRt* r : rts) exec_locks.emplace_back(r->exec_mutex);
-        const obs::ScopedTraceId obs_id(req.trace_id);
-        exec_sharded_body(req, nullptr);
-      } catch (...) {
-        err = std::current_exception();
-      }
-      {
-        std::lock_guard lock(state_mutex_);
-        resv_pending_ = false;
-        resv_n_ = 0;
-      }
-      queue_cv_.notify_all();  // reserved workers may pop newer work again
-    } else {
-      try {
-        std::lock_guard exec(rt->exec_mutex);
-        std::vector<const OpRequest*> reqs;
-        reqs.reserve(batch.size());
-        for (const Job& j : batch) reqs.push_back(&j.req);
-        const obs::ScopedTraceId obs_id(batch.front().req.trace_id);
-        exec_batch(d, *rt, std::span<const OpRequest* const>(reqs.data(), reqs.size()));
-      } catch (...) {
-        err = std::current_exception();
-      }
+    try {
+      std::lock_guard exec(rt->exec_mutex);
+      std::vector<const OpRequest*> reqs;
+      reqs.reserve(batch.size());
+      for (const Job& j : batch) reqs.push_back(&j.req);
+      const obs::ScopedTraceId obs_id(batch.front().req.trace_id);
+      exec_batch(d, *rt, std::span<const OpRequest* const>(reqs.data(), reqs.size()));
+    } catch (...) {
+      err = std::current_exception();
     }
     const double seconds = timer.seconds();
     // A fused batch is one pass over the non-zeros; each job's exec_s is its
@@ -1008,13 +878,7 @@ void Engine::worker_loop(unsigned d, DeviceRt* rt) {
       rt->jobs += batch.size();
       rt->busy_s += seconds;
       jobs_completed_ += batch.size();
-      for (const Job& j : batch) {
-        job_history_.push_back({static_cast<int>(d), j.req.plan->kind, j.req.plan->nnz,
-                                static_cast<std::uint32_t>(batch.size()), share});
-      }
-      while (job_history_.size() > EngineStats::kJobHistoryCap) job_history_.pop_front();
       if (active_jobs_ == 0 && queued_total_ == 0) idle_cv_.notify_all();
-      if (resv_pending_) resv_cv_.notify_all();
     }
     for (Job& job : batch) {
       if (job.record != nullptr) {
@@ -1061,7 +925,6 @@ EngineStats Engine::stats() const {
   s.batches_formed = batches_formed_;
   s.steals = steals_;
   s.exec_latency_us = exec_latency_us_.snapshot();
-  s.job_history.assign(job_history_.begin(), job_history_.end());
   return s;
 }
 

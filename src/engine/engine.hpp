@@ -17,15 +17,16 @@
 // steals the whole batch-affinity group at the head of the deepest
 // backlogged queue, so one long job never idles the rest of the group.
 // Latency-class jobs (OpRequest::ServiceClass) jump ahead of batch backlog
-// but age it: each batch job is passed at most
-// EngineOptions::latency_max_skips times. Sharded jobs reserve their device
-// span through the same queues (the reservation drains older work first).
-// One in-flight execution per device (the per-device admission lock) is
-// unchanged. A job executes the SAME single-device path run() uses -- and
-// because the native worker grid is a function of nnz, threadlen and
-// chunk_nnz alone, never of a pool's width, it is identical on every device,
-// so a job's result is bitwise identical no matter which device it lands on
-// and therefore bitwise identical to sequential execution
+// but age it: each batch job is passed at most kLatencyMaxSkips times.
+// submit() takes native single-device jobs only, so every queued job can run
+// on any device; sim-backend and sharded requests execute through the
+// synchronous run() / run_sharded(). Each device executes one job at a time
+// (its exec mutex, which those synchronous paths take too). A job executes
+// the SAME single-device path run() uses -- and because the native worker
+// grid is a function of nnz, threadlen and chunk_nnz alone, never of a
+// pool's width, it is identical on every device, so a job's result is
+// bitwise identical no matter which device it lands on and therefore
+// bitwise identical to sequential execution
 // (tests/engine_concurrency_test.cpp, tests/scheduler_test.cpp,
 // tests/worker_grid_test.cpp).
 //
@@ -36,12 +37,6 @@
 // per-request accumulator tiles (core::native::execute_batched). Per-request
 // results stay bitwise identical to solo runs, so coalescing is invisible
 // except in the jobs_batched / batches_formed counters and the wall clock.
-// Sim-backend jobs are pinned to device 0 (the simulator is the fidelity
-// oracle, not the serving path). Sharded jobs (shard.num_devices > 1) are
-// admitted through device 0's queue: when their turn comes, the scheduler
-// reserves devices 0..n-1 -- older queued work on those devices drains
-// first, newer work holds off -- and then executes the same multi-device
-// path run() uses, so results stay bitwise identical to direct execution.
 #pragma once
 
 #include <condition_variable>
@@ -124,6 +119,10 @@ struct OpPlan {
   index_t out_rows() const;
 };
 
+/// Aging bound for latency-class queue jumps: a batch-class job passed this
+/// many times cannot be passed again (see OpRequest::ServiceClass).
+inline constexpr unsigned kLatencyMaxSkips = 4;
+
 /// Type-erased execution request: op kind + mode live in the plan; inputs are
 /// the product-mode factors in ascending mode order (vectors as single-column
 /// matrices); `out` is a caller-owned out_rows x out_cols row-major buffer,
@@ -133,8 +132,8 @@ struct OpRequest {
   /// Scheduling class (DESIGN.md §15). kBatch is throughput work, served in
   /// queue order. kLatency jobs may jump ahead of batch backlog on their
   /// device, but never starve it: every batch job they pass ages, and a job
-  /// that has been passed EngineOptions::latency_max_skips times cannot be
-  /// passed again. The class never affects results -- only queue position.
+  /// that has been passed kLatencyMaxSkips times cannot be passed again. The
+  /// class never affects results -- only queue position.
   enum class ServiceClass : std::uint8_t {
     kBatch = 0,
     kLatency = 1,
@@ -172,9 +171,6 @@ struct EngineOptions {
   /// 1 disables coalescing -- the batching-off baseline benches compare
   /// against.
   std::size_t max_batch = 8;
-  /// Aging bound for latency-class queue jumps: a batch-class job passed
-  /// this many times cannot be passed again (see OpRequest::ServiceClass).
-  unsigned latency_max_skips = 4;
 };
 
 /// N requests executed as one engine call. Consecutive *batch-compatible*
@@ -238,17 +234,6 @@ struct EngineStats {
   /// Per-job execution-latency distribution in MICROSECONDS (each job's
   /// amortised share of its batch, matching JobRecord::exec_s).
   obs::HistogramSnapshot exec_latency_us;
-  /// Bounded trailing history of executed jobs in completion order, oldest
-  /// first (cap kJobHistoryCap).
-  struct JobHistoryEntry {
-    int device = 0;
-    OpKind kind = OpKind::kSpMTTKRP;
-    nnz_t nnz = 0;
-    std::uint32_t batch = 1;  // fused-batch size the job executed in
-    double exec_s = 0.0;      // amortised share, as in JobRecord
-  };
-  static constexpr std::size_t kJobHistoryCap = 512;
-  std::vector<JobHistoryEntry> job_history;
   /// Steal events (DESIGN.md §15): one per batch-affinity group moved
   /// between device queues.
   std::uint64_t steals = 0;
@@ -256,10 +241,9 @@ struct EngineStats {
 
 /// Optional per-job record for submit(): filled (device ordinal + execution
 /// seconds) before the job's future resolves, so reading it after
-/// future.get() is race-free. bench_engine uses it for the critical-path
-/// throughput model. For a job executed inside a fused batch, exec_s is the
-/// batch wall time divided by the batch size -- the job's amortized share,
-/// so per-device sums still add up to device busy time.
+/// future.get() is race-free. For a job executed inside a fused batch,
+/// exec_s is the batch wall time divided by the batch size -- the job's
+/// amortized share, so per-device sums still add up to device busy time.
 struct JobRecord {
   int device = -1;
   double exec_s = 0.0;
@@ -329,18 +313,16 @@ class Engine {
   /// queue is full, Admission::kBlock waits for a slot and
   /// Admission::kReject throws engine::QueueFull (retryable). A submission
   /// racing the destructor throws engine::ShuttingDown (terminal).
-  /// Sim-backend jobs are pinned to device 0. A sharded job
-  /// (options.shard.num_devices > 1, native backend) grows the group if
-  /// needed, queues on device 0, and at dequeue reserves devices 0..n-1:
-  /// work queued before it drains first, work queued after waits; execution
-  /// is the same multi-device path run() uses.
+  /// Only native single-device requests are admitted: a sim-backend or
+  /// sharded (options.shard.num_devices > 1) request throws
+  /// core::InvalidOptions -- run() executes both kinds.
   ///
   /// `on_done`, when set, runs exactly once per admitted job on the worker
   /// thread, after `record` is filled and just BEFORE the future resolves --
-  /// for ok, failed, fused, stolen, sharded and drained-at-shutdown jobs
-  /// alike -- so a ready future implies the callback has returned. It must
-  /// not block and must not throw. A submit that throws admits no job and
-  /// never runs it. The service uses it to wake its I/O loop (DESIGN.md §12).
+  /// for ok, failed, fused, stolen and drained-at-shutdown jobs alike -- so
+  /// a ready future implies the callback has returned. It must not block and
+  /// must not throw. A submit that throws admits no job and never runs it.
+  /// The service uses it to wake its I/O loop (DESIGN.md §12).
   std::future<void> submit(OpRequest req, JobRecord* record = nullptr,
                            Admission admission = Admission::kBlock,
                            std::function<void()> on_done = {});
@@ -372,17 +354,13 @@ class Engine {
     std::promise<void> done;
     JobRecord* record = nullptr;
     std::function<void()> on_done;  // submit()'s completion callback
-    std::uint64_t t_enqueue_ns = 0;  // obs: queue-wait span start
-    /// Monotone admission sequence (state_mutex_): total order over
-    /// submissions, the "older than the reservation" test for sharded
-    /// admission.
-    std::uint64_t seq = 0;
     /// Times a latency-class job has jumped ahead of this (batch-class) job;
-    /// at latency_max_skips_ the job becomes un-passable (aging).
+    /// at kLatencyMaxSkips the job becomes un-passable (aging).
     unsigned skips = 0;
-    /// steady_clock ns at enqueue, for JobRecord::wait_s (always stamped;
-    /// t_enqueue_ns is the obs-gated twin).
+    /// obs::now_ns() at enqueue: JobRecord::wait_s, and the start of the
+    /// engine.queue span when tracing was on at submit (`traced`).
     std::uint64_t t_submit_ns = 0;
+    bool traced = false;
   };
   struct DeviceRt {
     std::deque<Job> queue;
@@ -413,13 +391,10 @@ class Engine {
   void init_group(sim::Device& primary, const EngineOptions& opt);
   void validate_request(const OpRequest& req) const;
   /// Sharded execution after validation (run() and run_sharded() both land
-  /// here, validating exactly once).
+  /// here, validating exactly once): grows the group to n devices, takes
+  /// exec mutexes 0..n-1 in ascending order, shards the tensor over those
+  /// devices and reduces into req.out.
   void run_sharded_impl(const OpRequest& req, shard::Report* report);
-  /// The sharded execution body shared by run_sharded_impl and the worker's
-  /// reserved execution: shards the tensor over devices 0..n-1 and reduces
-  /// into req.out. Caller holds exec mutexes 0..n-1 (ascending) and has
-  /// registered the job as active; devices must already exist.
-  void exec_sharded_body(const OpRequest& req, shard::Report* report);
   /// Grows group + runtime slots to `n` under state_mutex_; caller must have
   /// established idleness (no queued or active jobs).
   void grow_locked(unsigned n);
@@ -442,35 +417,26 @@ class Engine {
   std::shared_ptr<const pipeline::CachedPlan> replica_plan(unsigned d, const OpPlan& plan);
 
   // ---- scheduler internals (all require state_mutex_) --------------------
-  /// Target device for `req`: pins (sim, sharded) -> 0; else batch affinity;
-  /// else the device with the fewest queued plus executing jobs, ties
-  /// rotated through next_device_.
+  /// Target device for `req`: batch affinity; else the device with the
+  /// fewest queued plus executing jobs, ties rotated through next_device_.
   unsigned pick_device_locked(const OpRequest& req);
   /// Queue insertion implementing the service classes: batch-class appends;
   /// latency-class inserts ahead of batch jobs that still have skip budget
   /// and ages every batch job it passes.
   void enqueue_locked(unsigned d, Job&& job);
-  /// Index into device d's queue of the first job its worker may pop
-  /// (reservation-aware), or npos.
-  std::size_t poppable_index_locked(unsigned d) const;
-  /// Deepest queue worker d may steal from, or -1. A queue qualifies when it
-  /// holds stealable (non-pinned) work its own device cannot service
-  /// promptly: its worker is mid-execution, reservation-blocked, or more
-  /// than one job deep.
+  /// Deepest queue worker d may steal from, or -1. A queue qualifies when
+  /// its own device cannot service it promptly: its worker is
+  /// mid-execution, or it is more than one job deep.
   int steal_victim_locked(unsigned d) const;
-  /// Pops the job at `at` in device v's queue plus every queued job
+  /// Pops the head of device v's queue plus every queued job
   /// batch-compatible with it (up to max_batch_, preserving the remainder's
   /// order). Both the owner's pop and the thief path of worker_loop.
-  std::vector<Job> take_group_locked(unsigned v, std::size_t at);
-  /// Sharded reservation drain test: no reserved device is executing and no
-  /// job older than the reservation remains on a reserved queue.
-  bool reservation_drained_locked() const;
+  std::vector<Job> take_group_locked(unsigned v);
 
   std::unique_ptr<sim::Device> owned_primary_;
   std::unique_ptr<shard::DeviceGroup> group_;
   std::size_t max_queued_;
   std::size_t max_batch_;
-  unsigned latency_max_skips_ = 4;
 
   // state_mutex_ guards the group/runtime structure (growth, worker spawn),
   // the queues and every counter below. Execution itself runs outside it,
@@ -496,21 +462,10 @@ class Engine {
   std::uint64_t jobs_completed_ = 0;
   std::uint64_t jobs_batched_ = 0;
   std::uint64_t batches_formed_ = 0;
-  std::uint64_t seq_next_ = 0;  // admission sequence source (Job::seq)
   std::uint64_t steals_ = 0;
-  /// Sharded reservation (one at a time: only device 0's worker creates
-  /// them). While pending, reserved workers 1..resv_n_-1 only pop jobs with
-  /// seq < resv_seq_ and never steal; the reserving worker waits on
-  /// resv_cv_ for reservation_drained_locked().
-  bool resv_pending_ = false;
-  unsigned resv_n_ = 0;
-  std::uint64_t resv_seq_ = 0;
-  std::condition_variable resv_cv_;
   /// Per-job exec-share latency (us); internally thread-safe, recorded by
   /// workers outside state_mutex_.
   obs::Histogram exec_latency_us_;
-  /// Bounded exec_s history (state_mutex_), oldest at front.
-  std::deque<EngineStats::JobHistoryEntry> job_history_;
 };
 
 }  // namespace ust::engine

@@ -13,8 +13,9 @@
 //                      admitted. TERMINAL for this engine instance.
 //
 // core::InvalidOptions (and ContractViolation) remain reserved for genuinely
-// malformed requests -- wrong shapes, sharded jobs through submit(), invalid
-// partitionings -- where retrying the identical request can never succeed.
+// malformed requests -- wrong shapes, sim-backend or sharded jobs through
+// submit(), invalid partitionings -- where retrying the identical request
+// can never succeed.
 #pragma once
 
 #include <cstddef>

@@ -1,9 +1,9 @@
 // Metrics registry (DESIGN.md §14): named counters, gauges and log-bucketed
 // histograms behind one get-or-create registry, rendered as Prometheus text
-// exposition. Unlike the span tracer this layer is ALWAYS compiled (it backs
-// the versioned kStats wire payload regardless of UST_OBS): instruments are
-// plain atomics, cheap enough for request-rate paths, and snapshots are
-// wait-free for writers.
+// exposition. Unlike the span tracer this layer has no runtime switch (it
+// backs the versioned kStats wire payload): instruments are plain atomics,
+// cheap enough for request-rate paths, and snapshots are wait-free for
+// writers.
 //
 // Histograms use 128 geometric buckets growing by 2^(1/4) (four buckets per
 // octave) from an upper bound of 1.0, covering ~9 decades (up to ~3e9 units;

@@ -1,7 +1,5 @@
 #include "obs/trace.hpp"
 
-#if UST_OBS
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -247,5 +245,3 @@ std::string chrome_trace_json(std::size_t max_events) {
 }
 
 }  // namespace ust::obs
-
-#endif  // UST_OBS

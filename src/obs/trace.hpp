@@ -21,22 +21,14 @@
 // Writers never take a lock and never wait: a full ring overwrites its
 // oldest slot and counts the loss (TraceStats::dropped).
 //
-// Compile-time guard: building with UST_OBS=0 (CMake option UST_OBS=OFF)
-// compiles every tracer entry point in this header down to an empty inline
-// no-op -- no atomics, no clock reads, nothing on the hot path. With
-// UST_OBS=1 (the default) spans still cost only one relaxed atomic load when
-// runtime tracing is off (set_tracing), and instrumentation is placed at
-// per-chunk granularity and coarser, never per-nonzero, keeping the enabled
-// overhead < 5% on bench_spmttkrp (acceptance bound; bench emits
-// obs_overhead).
+// Cost: a span costs one relaxed atomic load when runtime tracing is off
+// (set_tracing), and instrumentation is placed at per-chunk granularity and
+// coarser, never per-nonzero, keeping the enabled overhead < 5% on
+// bench_spmttkrp (acceptance bound; bench emits obs_overhead).
 //
 // Span names must be string literals (or otherwise outlive the rings): the
 // ring stores the pointer, not a copy.
 #pragma once
-
-#ifndef UST_OBS
-#define UST_OBS 1
-#endif
 
 #include <cstddef>
 #include <cstdint>
@@ -50,8 +42,6 @@ struct TraceStats {
   std::uint64_t dropped = 0;   ///< events overwritten before export
   std::size_t threads = 0;     ///< rings (threads that ever emitted a span)
 };
-
-#if UST_OBS
 
 /// Runtime switch, off by default: a relaxed atomic read per Span
 /// construction. Spans created while off record nothing.
@@ -125,34 +115,5 @@ void reset_trace() noexcept;
 /// writers. max_events == 0 means unlimited; otherwise the MOST RECENT
 /// max_events spans (by start time) are kept.
 std::string chrome_trace_json(std::size_t max_events = 0);
-
-#else  // !UST_OBS: every entry point is an inline no-op with zero state.
-
-inline bool tracing_enabled() noexcept { return false; }
-inline void set_tracing(bool) noexcept {}
-inline std::uint64_t now_ns() noexcept { return 0; }
-inline std::uint64_t current_trace_id() noexcept { return 0; }
-inline void set_current_trace_id(std::uint64_t) noexcept {}
-
-class ScopedTraceId {
- public:
-  explicit ScopedTraceId(std::uint64_t) noexcept {}
-};
-
-class Span {
- public:
-  explicit Span(const char*) noexcept {}
-  Span(const char*, std::uint64_t) noexcept {}
-  Span& arg(const char*, std::uint64_t) noexcept { return *this; }
-};
-
-inline void emit_span(const char*, std::uint64_t, std::uint64_t, const char* = nullptr,
-                      std::uint64_t = 0) noexcept {}
-inline void set_ring_capacity(std::size_t) noexcept {}
-inline TraceStats trace_stats() noexcept { return {}; }
-inline void reset_trace() noexcept {}
-inline std::string chrome_trace_json(std::size_t = 0) { return "{\"traceEvents\":[]}"; }
-
-#endif  // UST_OBS
 
 }  // namespace ust::obs

@@ -1,10 +1,9 @@
 // Engine-layer tests (DESIGN.md §11): plan acquisition and sharing through
 // the engine's per-device caches (SpTTV reusing SpMTTKRP entries), submit()
-// job admission (round-robin placement, sim pinning,
+// job admission (placement across the group, sim and sharded refusal,
 // bounded queue with typed QueueFull/ShuttingDown backpressure, exception
-// propagation, sharded-job rejection, the completion callback and the drain
-// at destruction), prewarm, plan forgetting, and the aggregated
-// Engine::stats() report.
+// propagation, the completion callback and the drain at destruction),
+// prewarm, plan forgetting, and the aggregated Engine::stats() report.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -62,8 +61,9 @@ TEST(Engine, PlanCacheSharedAcrossOpsIncludingTtv) {
 TEST(Engine, SubmitMatchesRunBitwiseAndRoundRobins) {
   // max_batch 1: with batching on, submit() prefers the device already
   // queueing a compatible job (batch affinity, DESIGN.md §13) and all six
-  // identical jobs would land on one device. Round-robin is the placement
-  // contract for a non-batching engine; BatchedEquivalence covers the rest.
+  // identical jobs would land on one device. Least-loaded placement with
+  // rotated ties spreads a non-batching engine's burst; BatchedEquivalence
+  // covers the rest.
   Engine eng(EngineOptions{.num_devices = 2, .max_batch = 1});
   Prng rng(104);
   const CooTensor t = test::random_coo3(rng, 24, 1500);
@@ -101,7 +101,7 @@ TEST(Engine, SubmitMatchesRunBitwiseAndRoundRobins) {
     used[d] = true;
     EXPECT_GE(records[static_cast<std::size_t>(j)].exec_s, 0.0);
   }
-  // Round-robin admission: both devices executed jobs.
+  // Least-loaded placement: both devices executed jobs.
   EXPECT_TRUE(used[0] && used[1]);
 
   const EngineStats s = eng.stats();
@@ -111,63 +111,58 @@ TEST(Engine, SubmitMatchesRunBitwiseAndRoundRobins) {
   EXPECT_GE(s.devices[1].cache.hits, 1u);
 }
 
-TEST(Engine, SimJobsPinToPrimary) {
+TEST(Engine, SubmitRefusesSimJobs) {
+  // Queued jobs may run on any device; the simulator needs the primary's
+  // UnifiedPlan, so sim-backend requests run through run() only.
   Engine eng(EngineOptions{.num_devices = 2});
   Prng rng(105);
   const CooTensor t = test::random_coo3(rng, 16, 600);
   const auto factors = test::random_factors(t, 4, 15);
   core::UnifiedMttkrp op(eng, t, 0, Partitioning{.threadlen = 8, .block_size = 64});
+  core::UnifiedOptions opt;
+  opt.backend = core::ExecBackend::kSim;
 
-  std::vector<DenseMatrix> outs(4, DenseMatrix(t.dim(0), 4));
-  std::vector<JobRecord> records(4);
-  std::vector<std::future<void>> futures;
-  for (int j = 0; j < 4; ++j) {
-    core::UnifiedOptions opt;
-    opt.backend = core::ExecBackend::kSim;
-    futures.push_back(eng.submit(op.request(factors, outs[static_cast<std::size_t>(j)], opt),
-                                 &records[static_cast<std::size_t>(j)]));
-  }
-  for (auto& f : futures) f.get();
-  for (const JobRecord& r : records) EXPECT_EQ(r.device, 0);
+  DenseMatrix out(t.dim(0), 4);
+  std::atomic<int> calls{0};
+  EXPECT_THROW((void)eng.submit(op.request(factors, out, opt), nullptr, Admission::kBlock,
+                                [&calls] { ++calls; }),
+               core::InvalidOptions);
+  EXPECT_EQ(calls.load(), 0);
+  EXPECT_EQ(eng.stats().jobs_submitted, 0u);
+
+  eng.run(op.request(factors, out, opt));
+  EXPECT_LT(test::relative_error(out, baseline::mttkrp_reference(t, 0, factors)),
+            test::kUnifiedTol);
 }
 
-TEST(Engine, SubmitAcceptsShardedJobsAndRejectsBadShapes) {
-  // Sharded jobs go through submit() since the scheduler gained device
-  // reservation (DESIGN.md §15): the job reserves shard.num_devices devices,
-  // drains their queues, and runs bitwise identical to the direct path.
+TEST(Engine, SubmitRefusesShardedJobsAndBadShapes) {
+  // A sharded request needs a span of devices, so it runs through run()
+  // only, bitwise identical to the 1-device native result.
   Engine eng(EngineOptions{.num_devices = 2});
   Prng rng(106);
   const CooTensor t = test::random_coo3(rng, 12, 300);
   const auto factors = test::random_factors(t, 3, 17);
   core::UnifiedMttkrp op(eng, t, 0, Partitioning{});
-  DenseMatrix out(t.dim(0), 3);
-
   core::UnifiedOptions sharded;
   sharded.shard.num_devices = 2;
-  DenseMatrix direct(t.dim(0), 3);
-  eng.run(op.request(factors, direct, sharded));
+
   std::atomic<int> calls{0};
   const auto count = [&calls] { ++calls; };
-  eng.submit(op.request(factors, out, sharded), nullptr, Admission::kBlock, count).get();
-  EXPECT_EQ(calls.load(), 1);  // the sharded job ran its callback once
-  ASSERT_EQ(out.rows(), direct.rows());
-  ASSERT_EQ(out.cols(), direct.cols());
-  for (index_t i = 0; i < out.rows(); ++i) {
-    for (index_t j = 0; j < out.cols(); ++j) EXPECT_EQ(out(i, j), direct(i, j));
-  }
-
-  // Sharded jobs on the sim backend stay rejected: replicas are native-only.
-  core::UnifiedOptions sim_sharded = sharded;
-  sim_sharded.backend = core::ExecBackend::kSim;
+  DenseMatrix out(t.dim(0), 3);
   EXPECT_THROW(
-      (void)eng.submit(op.request(factors, out, sim_sharded), nullptr, Admission::kBlock, count),
+      (void)eng.submit(op.request(factors, out, sharded), nullptr, Admission::kBlock, count),
       core::InvalidOptions);
-
   DenseMatrix wrong(t.dim(0), 5);  // out width != rank
   EXPECT_THROW((void)eng.submit(op.request(factors, wrong), nullptr, Admission::kBlock, count),
                ContractViolation);
   // A refused submit admits no job, so its callback never runs.
-  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(calls.load(), 0);
+  EXPECT_EQ(eng.stats().jobs_submitted, 0u);
+
+  DenseMatrix single(t.dim(0), 3);
+  eng.run(op.request(factors, single));
+  eng.run(op.request(factors, out, sharded));
+  EXPECT_EQ(DenseMatrix::max_abs_diff(out, single), 0.0);
 }
 
 TEST(Engine, SubmitPropagatesExecutionExceptions) {

@@ -46,8 +46,6 @@ namespace {
   return false;
 }
 
-#if UST_OBS
-
 /// Per-test tracer sandbox: rings cleared, tracing off on entry and exit.
 class ObsTrace : public ::testing::Test {
  protected:
@@ -209,23 +207,8 @@ TEST_F(ObsTrace, ConcurrentWritersAndExportStayConsistent) {
   EXPECT_EQ(count_occurrences(json, "\"name\":\"test.concurrent\""), st.recorded);
 }
 
-#else  // !UST_OBS
-
-TEST(ObsTrace, CompiledOutTracerIsInert) {
-  set_tracing(true);
-  {
-    Span s("gone");
-    s.arg("a", 1);
-  }
-  EXPECT_FALSE(tracing_enabled());
-  EXPECT_EQ(trace_stats().recorded, 0u);
-  EXPECT_EQ(chrome_trace_json(), "{\"traceEvents\":[]}");
-}
-
-#endif  // UST_OBS
-
 // ---------------------------------------------------------------------------
-// Metrics registry (always compiled, independent of UST_OBS).
+// Metrics registry.
 // ---------------------------------------------------------------------------
 
 TEST(ObsMetrics, RegistryGetOrCreateReturnsStableIdentity) {

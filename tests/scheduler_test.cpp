@@ -1,10 +1,11 @@
 // Scheduler tests (DESIGN.md §15): skewed mixed-op traffic must spread
 // across the device group without idling it behind one long job, a
 // drained worker must steal backlogged work (preserving results), latency-
-// class jobs must jump batch backlog without starving it (aging bound),
-// sharded jobs must run through submit() via device reservation bitwise
-// identical to the direct path, and every scheduled result must stay bitwise
-// identical to sequential execution regardless of placement.
+// class jobs must jump batch backlog without starving it (aging bound), a
+// synchronous sharded run holding every device's exec mutex must leave the
+// submitted singles around it and its own result bitwise intact, and every
+// scheduled result must stay bitwise identical to sequential execution
+// regardless of placement.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -143,15 +144,15 @@ TEST(Scheduler, DrainedWorkerStealsBackloggedQueue) {
 
 TEST(Scheduler, LatencyClassJumpsBatchBacklogButAgingBoundsTheSkips) {
   // Single device, no batching: a blocker executes while one batch-class job
-  // and a stream of latency-class jobs queue behind it. Latency jobs pass
-  // the batch job only until its skip budget (2) is spent, so the completion
-  // order recorded in job_history shows the batch job behind AT MOST 2 -- and
-  // at least 1 -- latency jobs.
-  EngineOptions opt;
-  opt.num_devices = 1;
-  opt.max_batch = 1;
-  opt.latency_max_skips = 2;
-  Engine eng(opt);
+  // and more latency-class jobs than the skip budget queue behind it.
+  // Latency jobs pass the batch job only until its budget is spent, so the
+  // completion order shows the batch job behind AT MOST kLatencyMaxSkips --
+  // and at least 1 -- latency jobs. The one worker runs each completion
+  // callback before that job's future resolves, so once every future is
+  // ready `order` holds the completion order. It outlives the engine, whose
+  // destructor drains any queued job.
+  std::vector<std::size_t> order;
+  Engine eng(EngineOptions{.num_devices = 1, .max_batch = 1});
   const CooTensor big = io::generate_uniform({96, 96, 96}, 200000, 3031);
   const CooTensor batch_t = io::generate_uniform({16, 16, 16}, 1000, 3032);
   const CooTensor lat_t = io::generate_uniform({16, 16, 16}, 997, 3033);
@@ -164,13 +165,14 @@ TEST(Scheduler, LatencyClassJumpsBatchBacklogButAgingBoundsTheSkips) {
   const auto batch_factors = test::random_factors(batch_t, 4, 63);
   const auto lat_factors = test::random_factors(lat_t, 4, 65);
 
-  constexpr int kLatency = 5;
+  constexpr int kLatency = static_cast<int>(kLatencyMaxSkips) + 3;
   DenseMatrix big_out(big.dim(0), 1024);
   DenseMatrix batch_out(batch_t.dim(0), 4);
   std::vector<DenseMatrix> lat_outs(kLatency, DenseMatrix(lat_t.dim(0), 4));
   // Blocker first: it dequeues immediately and occupies the device while the
   // rest of the stream queues up in submission order. The requests are built
-  // up front so the submit burst is short next to the blocker.
+  // up front so the submit burst is short next to the blocker. Request j is
+  // the blocker (0), the batch job (1) or a latency job (2 and up).
   std::vector<OpRequest> reqs;
   reqs.push_back(big_op.request(big_factors, big_out));
   reqs.push_back(batch_op.request(batch_factors, batch_out));
@@ -179,28 +181,30 @@ TEST(Scheduler, LatencyClassJumpsBatchBacklogButAgingBoundsTheSkips) {
     reqs.back().service_class = OpRequest::ServiceClass::kLatency;
   }
   std::vector<std::future<void>> futures;
-  for (OpRequest& req : reqs) futures.push_back(submit(eng, std::move(req)));
+  for (std::size_t j = 0; j < reqs.size(); ++j) {
+    futures.push_back(eng.submit(std::move(reqs[j]), nullptr, Admission::kBlock,
+                                 [&order, j] { order.push_back(j); }));
+  }
   for (auto& f : futures) f.get();
 
-  // job_history is completion order. Count latency-tensor entries before the
-  // batch-tensor entry.
-  const EngineStats s = eng.stats();
+  ASSERT_EQ(order.size(), reqs.size());
   int lat_before_batch = 0;
   bool batch_seen = false;
-  for (const auto& h : s.job_history) {
-    if (h.nnz == batch_t.nnz()) batch_seen = true;
-    if (h.nnz == lat_t.nnz() && !batch_seen) ++lat_before_batch;
+  for (const std::size_t j : order) {
+    if (j == 1) batch_seen = true;
+    if (j >= 2 && !batch_seen) ++lat_before_batch;
   }
   ASSERT_TRUE(batch_seen);
   // Jumped: at least one latency job passed the earlier-queued batch job.
   EXPECT_GE(lat_before_batch, 1);
-  // Not starved: the batch job was passed at most latency_max_skips times.
-  EXPECT_LE(lat_before_batch, 2);
+  // Not starved: the batch job was passed at most kLatencyMaxSkips times.
+  EXPECT_LE(lat_before_batch, static_cast<int>(kLatencyMaxSkips));
 }
 
-TEST(Scheduler, ShardedSubmitReservesDevicesAmidConcurrentSingles) {
-  // A sharded job rides the same queues as singles: it must succeed through
-  // submit(), produce bitwise the direct run_sharded result, and the singles
+TEST(Scheduler, SyncShardedRunAmidSubmittedSinglesStaysBitwise) {
+  // A synchronous sharded run() holds every device's exec mutex while
+  // submitted singles are queued on, and run by, those devices: the sharded
+  // result must equal the 1-device native result bitwise, and the singles
   // around it must be untouched.
   Engine eng(EngineOptions{.num_devices = 2, .max_batch = 1});
   const CooTensor t = io::generate_uniform({48, 48, 48}, 30000, 3041);
@@ -214,8 +218,8 @@ TEST(Scheduler, ShardedSubmitReservesDevicesAmidConcurrentSingles) {
 
   core::UnifiedOptions sharded;
   sharded.shard.num_devices = 2;
-  DenseMatrix direct(t.dim(0), 8);
-  eng.run(sharded_op.request(t_factors, direct, sharded));
+  DenseMatrix want(t.dim(0), 8);
+  sharded_op.run(t_factors, want);
   DenseMatrix small_want(small.dim(0), 4);
   small_op.run(small_factors, small_want);
 
@@ -224,16 +228,19 @@ TEST(Scheduler, ShardedSubmitReservesDevicesAmidConcurrentSingles) {
   for (int round = 0; round < kRounds; ++round) {
     DenseMatrix sharded_out(t.dim(0), 8);
     std::vector<DenseMatrix> outs(kSingles, DenseMatrix(small.dim(0), 4));
+    const OpRequest sharded_req = sharded_op.request(t_factors, sharded_out, sharded);
     std::vector<std::future<void>> futures;
     for (int j = 0; j < kSingles / 2; ++j) {
       futures.push_back(submit(eng, small_op.request(small_factors, outs[j])));
     }
-    futures.push_back(submit(eng, sharded_op.request(t_factors, sharded_out, sharded)));
+    std::future<void> sharded_done =
+        std::async(std::launch::async, [&eng, &sharded_req] { eng.run(sharded_req); });
     for (int j = kSingles / 2; j < kSingles; ++j) {
       futures.push_back(submit(eng, small_op.request(small_factors, outs[j])));
     }
+    sharded_done.get();
     for (auto& f : futures) f.get();
-    EXPECT_EQ(DenseMatrix::max_abs_diff(sharded_out, direct), 0.0) << "round " << round;
+    EXPECT_EQ(DenseMatrix::max_abs_diff(sharded_out, want), 0.0) << "round " << round;
     for (int j = 0; j < kSingles; ++j) {
       EXPECT_EQ(DenseMatrix::max_abs_diff(outs[j], small_want), 0.0)
           << "round " << round << " single " << j;

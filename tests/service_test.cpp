@@ -767,8 +767,6 @@ TEST(Service, StatsCarriesPrometheusMetricsText) {
   server.stop();
 }
 
-#if UST_OBS
-
 TEST(Service, TraceExportsConnectedSpanChain) {
   obs::reset_trace();
   obs::set_tracing(true);
@@ -839,8 +837,6 @@ TEST(Service, TraceExportHonorsMaxEvents) {
   }
   EXPECT_EQ(events, 1u);
 }
-
-#endif  // UST_OBS
 
 }  // namespace
 }  // namespace ust::service
