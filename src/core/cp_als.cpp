@@ -8,6 +8,7 @@
 #include "linalg/solve.hpp"
 #include "sim/stream.hpp"
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace ust::core {
@@ -110,7 +111,7 @@ CpResult cp_als_driver(const CooTensor& tensor, const CpOptions& options,
         pending_gram = -1;
       }
       const DenseMatrix v = gram_product_except(grams, n);
-      DenseMatrix a = linalg::solve_gram(v, m);
+      DenseMatrix a = linalg::solve_gram(v, m, &ThreadPool::global());
       lambda = linalg::normalize_columns(a);
       // Guard against dead components (zero columns): keep lambda positive.
       for (auto& l : lambda) {

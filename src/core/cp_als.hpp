@@ -1,11 +1,13 @@
-// CP-ALS (CANDECOMP/PARAFAC via alternating least squares) on the simulated
-// GPU -- Algorithm 1 of the paper. The MTTKRP in every mode update runs as a
-// unified one-shot kernel from a per-mode F-COO plan built once up front
-// ("preprocessed for different modes on the host ... transferred once").
-// The dense matrix algebra (Gram matrices, pseudo-inverse, normalisation)
-// runs on a second stream, overlapping the next mode's MTTKRP where the
-// dependence structure allows, as in the paper's two-stream Section V-E
-// implementation.
+// CP-ALS (CANDECOMP/PARAFAC via alternating least squares) -- Algorithm 1 of
+// the paper. The MTTKRP in every mode update runs as a unified one-shot
+// kernel from a per-mode F-COO plan built once up front ("preprocessed for
+// different modes on the host ... transferred once"). The dense update that
+// follows (DESIGN.md §16) solves the Gram system in row blocks on the global
+// pool, the pool device 0 runs the MTTKRP on, and normalises the columns on
+// the caller. With `use_streams` the Gram of the updated factor runs on a
+// second stream, overlapping the next mode's MTTKRP, as in the paper's
+// two-stream Section V-E implementation. Results are bitwise the same at any
+// pool width and with or without the second stream.
 #pragma once
 
 #include <functional>

@@ -284,9 +284,9 @@ std::shared_ptr<const pipeline::CachedPlan> Engine::replica_plan(unsigned d,
   key.flavor = pipeline::PlanKey::kWholeReplica;
   return cache->get_or_build(key, [&] {
     // A whole-range "shard": the replica carries the identical arrays the
-    // primary UnifiedPlan holds (lo 0, row_base 0), so native execution over
-    // it -- with the grid computed per run from the device's equally-sized
-    // pool -- is bitwise identical to device-0 execution.
+    // primary UnifiedPlan holds (lo 0, row_base 0), and the native worker
+    // grid depends on the plan alone, not on the device's pool, so native
+    // execution over it is bitwise identical to device-0 execution.
     pipeline::StreamChunk spec;
     spec.lo = 0;
     spec.hi = p.nnz;

@@ -1,6 +1,7 @@
 #include "linalg/solve.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include "linalg/dense_ops.hpp"
 #include "linalg/eigen.hpp"
@@ -26,30 +27,50 @@ std::optional<DenseMatrix> cholesky(const DenseMatrix& a) {
   return l;
 }
 
-std::optional<DenseMatrix> spd_solve(const DenseMatrix& a, const DenseMatrix& b) {
-  UST_EXPECTS(a.rows() == a.cols());
-  UST_EXPECTS(a.rows() == b.rows());
-  auto chol = cholesky(a);
-  if (!chol) return std::nullopt;
-  const DenseMatrix& l = *chol;
-  const index_t n = a.rows();
-  const index_t m = b.cols();
-  // Forward solve L Y = B, then backward solve L^T X = Y.
-  DenseMatrix x = b;
-  for (index_t j = 0; j < m; ++j) {
-    for (index_t i = 0; i < n; ++i) {
-      double sum = x(i, j);
-      for (index_t k = 0; k < i; ++k) sum -= static_cast<double>(l(i, k)) * x(k, j);
-      x(i, j) = static_cast<value_t>(sum / l(i, i));
-    }
-    for (index_t ii = n; ii-- > 0;) {
-      double sum = x(ii, j);
-      for (index_t k = ii + 1; k < n; ++k) sum -= static_cast<double>(l(k, ii)) * x(k, j);
-      x(ii, j) = static_cast<value_t>(sum / l(ii, ii));
-    }
+namespace {
+
+/// Solves X (L L^T) = B for rows [begin, end) of B, writing those rows of X.
+/// Row r's element i is `sum = B(r,i)`, then `sum -= double(L(i,k)) * X(r,k)`
+/// for ascending k < i, then `X(r,i) = float(sum / L(i,i))`; the back
+/// substitution does the same over descending i with L(k,i), k > i. The
+/// rows are independent, so each step runs over all rows of the block in
+/// turn, on a column-major copy whose entries are float values widened to
+/// double: every element keeps its order of operations and roundings.
+void substitute_rows(const DenseMatrix& l, const DenseMatrix& b, DenseMatrix& x,
+                     std::size_t begin, std::size_t end) {
+  const index_t r = l.rows();
+  const std::size_t n = end - begin;
+  std::vector<double> y(r * n);
+  const auto col = [&](index_t c) { return y.data() + c * n; };
+  const value_t* in = b.data() + begin * r;
+  for (std::size_t row = 0; row < n; ++row) {
+    for (index_t c = 0; c < r; ++c) col(c)[row] = in[row * r + c];
   }
-  return x;
+  const auto step = [&](index_t i, index_t k, double lik) {
+    double* yi = col(i);
+    const double* yk = col(k);
+    for (std::size_t row = 0; row < n; ++row) yi[row] -= lik * yk[row];
+  };
+  const auto divide = [&](index_t i) {
+    double* yi = col(i);
+    const double lii = l(i, i);
+    for (std::size_t row = 0; row < n; ++row) yi[row] = static_cast<value_t>(yi[row] / lii);
+  };
+  for (index_t i = 0; i < r; ++i) {
+    for (index_t k = 0; k < i; ++k) step(i, k, l(i, k));
+    divide(i);
+  }
+  for (index_t i = r; i-- > 0;) {
+    for (index_t k = i + 1; k < r; ++k) step(i, k, l(k, i));
+    divide(i);
+  }
+  value_t* out = x.data() + begin * r;
+  for (std::size_t row = 0; row < n; ++row) {
+    for (index_t c = 0; c < r; ++c) out[row * r + c] = static_cast<value_t>(col(c)[row]);
+  }
 }
+
+}  // namespace
 
 DenseMatrix pinv_symmetric(const DenseMatrix& a, double rcond) {
   UST_EXPECTS(a.rows() == a.cols());
@@ -74,14 +95,19 @@ DenseMatrix pinv_symmetric(const DenseMatrix& a, double rcond) {
   return result;
 }
 
-DenseMatrix solve_gram(const DenseMatrix& a, const DenseMatrix& b) {
+DenseMatrix solve_gram(const DenseMatrix& a, const DenseMatrix& b, ThreadPool* pool) {
   UST_EXPECTS(a.rows() == a.cols());
   UST_EXPECTS(b.cols() == a.rows());
-  // B has shape I x R, A is R x R; we want B * pinv(A). Solve A X^T = B^T
-  // when A is SPD (A symmetric: A X = B^T gives X = A^-1 B^T, and
-  // B A^-1 = (A^-1 B^T)^T since A^-1 is symmetric).
-  if (auto x = spd_solve(a, transpose(b))) return transpose(*x);
-  return matmul(b, pinv_symmetric(a));
+  // B has shape I x R, A is R x R; we want B * pinv(A). When A = L L^T is
+  // SPD, row r of X solves L (L^T x_r) = b_r: forward, then back substitution.
+  const auto l = cholesky(a);
+  if (!l) return matmul(b, pinv_symmetric(a));
+  DenseMatrix x(b.rows(), b.cols());
+  for_each_block(pool, b.rows(), kSolveBlockRows,
+                 [&](std::size_t, std::size_t begin, std::size_t end) {
+                   substitute_rows(*l, b, x, begin, end);
+                 });
+  return x;
 }
 
 }  // namespace ust::linalg

@@ -6,16 +6,20 @@
 
 #include "tensor/dense.hpp"
 #include "util/common.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ust::linalg {
+
+/// Rows of the right-hand side that one task of solve_gram's substitution
+/// solves together. A factor with at most this many rows runs on the caller.
+/// 256 gave the lowest CP-ALS dense-stage time of 256, 512, 1024 and 2048
+/// on nell2 x1.0 at rank 8 on a 4-thread pool (DESIGN.md §16).
+inline constexpr index_t kSolveBlockRows = 256;
 
 /// Cholesky factorisation of a symmetric positive-definite matrix; returns
 /// the lower factor L with A = L L^T, or nullopt if A is not (numerically)
 /// positive definite.
 std::optional<DenseMatrix> cholesky(const DenseMatrix& a);
-
-/// Solves A X = B for SPD A via Cholesky; returns nullopt on failure.
-std::optional<DenseMatrix> spd_solve(const DenseMatrix& a, const DenseMatrix& b);
 
 /// Moore-Penrose pseudo-inverse of a symmetric matrix via its eigen
 /// decomposition (Jacobi); singular values below `rcond * max_sv` are
@@ -25,7 +29,11 @@ std::optional<DenseMatrix> spd_solve(const DenseMatrix& a, const DenseMatrix& b)
 DenseMatrix pinv_symmetric(const DenseMatrix& a, double rcond = 1e-10);
 
 /// X = B * pinv(A) for symmetric A: the CP-ALS update applied row-wise.
-/// Uses Cholesky when A is SPD, otherwise the eigen pseudo-inverse.
-DenseMatrix solve_gram(const DenseMatrix& a, const DenseMatrix& b);
+/// When A is SPD, each row of B is solved by forward and back substitution
+/// through A's Cholesky factor, in blocks of kSolveBlockRows rows run on
+/// `pool` (on the caller when null). Every element's arithmetic is fixed,
+/// so X is bitwise the same at any pool width. Otherwise X = B * pinv(A).
+DenseMatrix solve_gram(const DenseMatrix& a, const DenseMatrix& b,
+                       ThreadPool* pool = nullptr);
 
 }  // namespace ust::linalg

@@ -3,7 +3,6 @@
 // analysis assumes (Table II charges 1/8 byte per non-zero for bf).
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -14,22 +13,9 @@ namespace ust {
 
 /// Number of set bits in global positions [lo, hi) of a packed little-endian
 /// word array, counted a 64-bit word at a time (0 when lo >= hi). The head
-/// counter of the F-COO start flags, the stream chunker and the sharder.
-inline nnz_t count_ones(std::span<const std::uint64_t> words, nnz_t lo, nnz_t hi) {
-  if (lo >= hi) return 0;
-  const nnz_t first = lo >> 6;
-  const nnz_t last = (hi - 1) >> 6;
-  const std::uint64_t from_lo = ~std::uint64_t{0} << (lo & 63);
-  const std::uint64_t through_hi = ~std::uint64_t{0} >> (63 - ((hi - 1) & 63));
-  if (first == last) {
-    return static_cast<nnz_t>(std::popcount(words[first] & from_lo & through_hi));
-  }
-  nnz_t count = static_cast<nnz_t>(std::popcount(words[first] & from_lo));
-  for (nnz_t w = first + 1; w < last; ++w) {
-    count += static_cast<nnz_t>(std::popcount(words[w]));
-  }
-  return count + static_cast<nnz_t>(std::popcount(words[last] & through_hi));
-}
+/// counter of the F-COO start flags, the stream chunker, the sharder and
+/// BitArray. Uses the POPCNT instruction where the CPU has it (bits.cpp).
+nnz_t count_ones(std::span<const std::uint64_t> words, nnz_t lo, nnz_t hi);
 
 class BitArray {
  public:
@@ -57,24 +43,12 @@ class BitArray {
   }
 
   /// Number of set bits.
-  std::size_t popcount() const {
-    std::size_t c = 0;
-    for (auto w : words_) c += static_cast<std::size_t>(__builtin_popcountll(w));
-    return c;
-  }
+  std::size_t popcount() const { return count_ones(words_, 0, size_); }
 
   /// Number of set bits in [0, i) -- used to map a non-zero to its segment.
   std::size_t rank(std::size_t i) const {
     UST_EXPECTS(i <= size_);
-    std::size_t c = 0;
-    const std::size_t full = i >> 6;
-    for (std::size_t w = 0; w < full; ++w) c += static_cast<std::size_t>(__builtin_popcountll(words_[w]));
-    const std::size_t rem = i & 63;
-    if (rem != 0) {
-      const std::uint64_t mask = (1ull << rem) - 1;
-      c += static_cast<std::size_t>(__builtin_popcountll(words_[full] & mask));
-    }
-    return c;
+    return count_ones(words_, 0, i);
   }
 
   /// Raw packed words (little-endian bit order); for device upload.

@@ -2,12 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <string>
 
 #include "linalg/dense_ops.hpp"
 #include "linalg/eigen.hpp"
 #include "linalg/solve.hpp"
 #include "tensor/dense.hpp"
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ust {
 namespace {
@@ -159,11 +163,10 @@ TEST(Solve, SpdSolveSolvesSystem) {
   const DenseMatrix a = random_matrix(8, 3, 11);
   DenseMatrix spd = linalg::gram(a);
   for (index_t i = 0; i < 3; ++i) spd(i, i) += 1.0f;
-  const DenseMatrix b = random_matrix(3, 2, 12);
-  const auto x = linalg::spd_solve(spd, b);
-  ASSERT_TRUE(x.has_value());
-  const DenseMatrix ax = linalg::matmul(spd, *x);
-  EXPECT_LT(DenseMatrix::max_abs_diff(ax, b), 1e-3);
+  const DenseMatrix b = random_matrix(2, 3, 12);
+  const DenseMatrix x = linalg::solve_gram(spd, b);
+  const DenseMatrix xa = linalg::matmul(x, spd);
+  EXPECT_LT(DenseMatrix::max_abs_diff(xa, b), 1e-3);
 }
 
 TEST(Eigen, DiagonalizesSymmetricMatrix) {
@@ -224,6 +227,52 @@ TEST(Solve, SolveGramMatchesDirectInverseWhenSpd) {
   const DenseMatrix x = linalg::solve_gram(v, m);   // = M pinv(V)
   const DenseMatrix expect = linalg::matmul(m, linalg::pinv_symmetric(v));
   EXPECT_LT(DenseMatrix::max_abs_diff(x, expect), 1e-3);
+}
+
+/// solve_gram's SPD path as it was written before the row blocks: B is
+/// transposed, each right-hand side is substituted as one column at stride
+/// I, and the result is transposed back.
+DenseMatrix column_substitution(const DenseMatrix& a, const DenseMatrix& b) {
+  const DenseMatrix l = linalg::cholesky(a).value();
+  const index_t n = a.rows();
+  DenseMatrix x = linalg::transpose(b);
+  for (index_t j = 0; j < x.cols(); ++j) {
+    for (index_t i = 0; i < n; ++i) {
+      double sum = x(i, j);
+      for (index_t k = 0; k < i; ++k) sum -= static_cast<double>(l(i, k)) * x(k, j);
+      x(i, j) = static_cast<value_t>(sum / l(i, i));
+    }
+    for (index_t ii = n; ii-- > 0;) {
+      double sum = x(ii, j);
+      for (index_t k = ii + 1; k < n; ++k) sum -= static_cast<double>(l(k, ii)) * x(k, j);
+      x(ii, j) = static_cast<value_t>(sum / l(ii, ii));
+    }
+  }
+  return linalg::transpose(x);
+}
+
+TEST(Solve, SolveGramIsBitwiseEqualToColumnSubstitution) {
+  constexpr index_t kB = linalg::kSolveBlockRows;
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) pools.push_back(std::make_unique<ThreadPool>(threads));
+  std::uint64_t seed = 100;
+  for (index_t r : {1u, 3u, 8u, 16u, 17u}) {
+    DenseMatrix v = linalg::gram(random_matrix(2 * r + 3, r, ++seed));
+    for (index_t i = 0; i < r; ++i) v(i, i) += 0.25f;
+    for (index_t rows : {index_t{1}, kB - 1, kB, kB + 1, 3 * kB + 5, index_t{7250}}) {
+      SCOPED_TRACE("R=" + std::to_string(r) + " I=" + std::to_string(rows));
+      const DenseMatrix m = random_matrix(rows, r, ++seed);
+      const DenseMatrix expect = column_substitution(v, m);
+      const auto same_bits = [&](const DenseMatrix& x) {
+        return x.rows() == expect.rows() && x.cols() == expect.cols() &&
+               std::memcmp(x.data(), expect.data(), expect.byte_size()) == 0;
+      };
+      EXPECT_TRUE(same_bits(linalg::solve_gram(v, m)));
+      for (const auto& pool : pools) {
+        EXPECT_TRUE(same_bits(linalg::solve_gram(v, m, pool.get()))) << pool->size() + 1 << " threads";
+      }
+    }
+  }
 }
 
 }  // namespace

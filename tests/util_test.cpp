@@ -149,6 +149,22 @@ TEST(BitArray, AllOnesConstruction) {
   EXPECT_EQ(bits.rank(70), 70u);
 }
 
+TEST(CountOnes, MatchesBruteForceOnEveryRange) {
+  // A random word, a full one, an empty one and another random one: every
+  // [lo, hi) over them covers empty ranges (lo >= hi), ranges inside one
+  // word, ranges across word boundaries and whole words.
+  Prng rng(23);
+  const std::vector<std::uint64_t> words{rng.next_u64(), ~std::uint64_t{0}, 0, rng.next_u64()};
+  const nnz_t bits = 64 * words.size();
+  for (nnz_t lo = 0; lo <= bits; ++lo) {
+    for (nnz_t hi = 0; hi <= bits; ++hi) {
+      nnz_t expect = 0;
+      for (nnz_t p = lo; p < hi; ++p) expect += (words[p >> 6] >> (p & 63)) & 1;
+      ASSERT_EQ(count_ones(words, lo, hi), expect) << "[" << lo << ", " << hi << ")";
+    }
+  }
+}
+
 TEST(ThreadPool, ParallelForCoversAllIndicesOnce) {
   ThreadPool pool(8);
   std::vector<std::atomic<int>> hits(10000);
