@@ -180,7 +180,7 @@ CpResult cp_als_unified(engine::Engine& engine, const CooTensor& tensor,
   std::vector<UnifiedMttkrp> ops;
   ops.reserve(static_cast<std::size_t>(tensor.order()));
   for (int m = 0; m < tensor.order(); ++m) {
-    ops.emplace_back(engine, tensor, m, options.part, options.streaming);
+    ops.emplace_back(engine, tensor, m, options.part);
   }
   return cp_als_driver(tensor, options,
                        [&](int mode, const std::vector<DenseMatrix>& factors) {

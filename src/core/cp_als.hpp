@@ -30,9 +30,6 @@ struct CpOptions {
   /// per-op simulated device group (src/shard/), bitwise identical to the
   /// single-device solve.
   UnifiedOptions kernel;
-  /// Streams every MTTKRP through bounded-memory chunk plans when enabled
-  /// (tensors larger than device memory); bypasses the plan cache.
-  StreamingOptions streaming;
   bool use_streams = true;   // overlap dense algebra with MTTKRP
   std::uint64_t seed = 42;   // factor initialisation
 };

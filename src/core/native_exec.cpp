@@ -23,7 +23,7 @@ std::vector<Chunk> make_chunks(nnz_t nnz, unsigned threadlen, nnz_t max_chunk_nn
   // balancing. The count reads no pool, so every pool width runs the same
   // grid; a pool wider than 16 threads leaves threads idle in phase 1. A
   // non-zero max_chunk_nnz raises the chunk count until every chunk fits the
-  // cap -- the knob the streaming pipeline and the tuner's fourth axis share.
+  // cap -- the knob the sharder's grid and the tuner's fourth axis share.
   nnz_t target = 16;
   if (max_chunk_nnz != 0) {
     const nnz_t cap_partitions = std::max<nnz_t>(1, max_chunk_nnz / threadlen);

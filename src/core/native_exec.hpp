@@ -75,7 +75,7 @@ struct Chunk {
 /// additionally caps every chunk's size, raising the chunk count as needed.
 /// The grid is a function of (nnz, threadlen, max_chunk_nnz) alone -- any
 /// number of pool threads runs it -- which is what bitwise identity across
-/// thread counts, devices, streaming and sharding rests on. Returns an empty
+/// thread counts, devices and sharding rests on. Returns an empty
 /// vector for an empty tensor.
 std::vector<Chunk> make_chunks(nnz_t nnz, unsigned threadlen, nnz_t max_chunk_nnz = 0);
 
@@ -237,15 +237,13 @@ inline void run_chunk(const FcooView& f, std::span<const OutView> outs,
 
 /// Phase 2: the serial left-to-right carry fold over per-chunk boundary
 /// state. `seg_row` maps the segment ids stored in `states` to output rows
-/// (the plan's global table for single-shot, a chunk-local slice for the
-/// streaming executor). `carry` must hold `total_cols` floats and persists
-/// across calls -- the streaming pipeline folds chunk after chunk with one
-/// running carry, which is exactly what keeps streamed results bitwise
-/// identical to single-shot execution. Shared by every caller (single-shot,
-/// streaming, sharded, batched) so the handoff rule can never diverge. The
-/// chunk flags apply to every block at once -- the segment structure doesn't
-/// depend on the request -- so folding the concatenated tile is the same as
-/// folding each request independently.
+/// (the plan's global table; the sharded executor rebases its shards'
+/// segment ids to global before folding). `carry` must hold `total_cols`
+/// zeroed floats. Shared by every caller (single-shot, sharded, batched) so
+/// the handoff rule can never diverge. The chunk flags apply to every block
+/// at once -- the segment structure doesn't depend on the request -- so
+/// folding the concatenated tile is the same as folding each request
+/// independently.
 inline void fold_boundaries(const index_t* seg_row, std::span<const ChunkState> states,
                             const float* UST_RESTRICT tails,
                             const float* UST_RESTRICT head_partials, std::size_t total_cols,
@@ -292,8 +290,8 @@ inline void fold_boundaries(const index_t* seg_row, std::span<const ChunkState> 
                   carry);
 }
 
-/// Phase 1 for every native caller -- execute_batched, the
-/// streaming executor's chunks and the sharded executor's shard plans: runs
+/// Phase 1 for every native caller -- execute_batched and the sharded
+/// executor's shard plans: runs
 /// `chunks` over `pool`, each worker accumulating in its own WorkerTiles tile
 /// and copying a chunk's trailing partial into the chunk's packed `tails`
 /// slot when the chunk ends. `tails` and `head_partials` (`total_cols` floats

@@ -21,9 +21,8 @@ std::vector<engine::HostMatrixView> factor_views(const engine::OpPlan& plan,
 }  // namespace
 
 UnifiedMttkrp::UnifiedMttkrp(engine::Engine& engine, const CooTensor& tensor, int mode,
-                             Partitioning part, const StreamingOptions& stream)
-    : engine_(&engine),
-      plan_(engine.plan(tensor, engine::OpKind::kSpMTTKRP, mode, part, stream)) {}
+                             Partitioning part)
+    : engine_(&engine), plan_(engine.plan(tensor, engine::OpKind::kSpMTTKRP, mode, part)) {}
 
 engine::OpRequest UnifiedMttkrp::request(std::span<const DenseMatrix> factors,
                                          DenseMatrix& out, const UnifiedOptions& opt) const {

@@ -6,7 +6,7 @@
 //
 // Since the engine-layer refactor (DESIGN.md §11) this class is a thin
 // front-end: it holds an engine::OpPlan (the F-COO handle) and builds an
-// OpRequest per run; all backend / streaming / sharding routing lives in
+// OpRequest per run; all backend and sharding routing lives in
 // ust::engine::Engine.
 #pragma once
 
@@ -24,16 +24,12 @@ class UnifiedMttkrp {
  public:
   /// Preprocesses `tensor` for MTTKRP on `mode` (0-based) through `engine`,
   /// whose primary-device plan cache serves repeated constructions (e.g.
-  /// successive CP-ALS invocations). With `stream.enabled` the tensor is
-  /// kept on the host and every run() streams bounded-memory chunk plans
-  /// through the native kernel (src/pipeline/, DESIGN.md §9); streaming runs
-  /// bypass the caches. The engine must outlive this object.
+  /// successive CP-ALS invocations). The engine must outlive this object.
   UnifiedMttkrp(engine::Engine& engine, const CooTensor& tensor, int mode,
-                Partitioning part, const StreamingOptions& stream = {});
+                Partitioning part);
 
   int mode() const noexcept { return plan_->mode; }
   const UnifiedPlan& plan() const { return plan_->unified_plan(); }
-  bool streaming() const noexcept { return plan_->streaming(); }
   const std::shared_ptr<const engine::OpPlan>& op_plan() const noexcept { return plan_; }
   engine::Engine& engine() const noexcept { return *engine_; }
 

@@ -22,16 +22,14 @@ namespace ust::core {
 
 class UnifiedSpttm {
  public:
-  /// See UnifiedMttkrp for the `stream` semantics: streaming keeps the
-  /// tensor on the host and runs bounded-memory chunk plans; otherwise the
-  /// engine's primary plan cache reuses the device plan and the host fiber
-  /// coordinates across constructions.
+  /// The engine's primary plan cache reuses the device plan and the host
+  /// fiber coordinates across constructions. The engine must outlive this
+  /// object.
   UnifiedSpttm(engine::Engine& engine, const CooTensor& tensor, int mode,
-               Partitioning part, const StreamingOptions& stream = {});
+               Partitioning part);
 
   int mode() const noexcept { return plan_->mode; }
   const UnifiedPlan& plan() const { return plan_->unified_plan(); }
-  bool streaming() const noexcept { return plan_->streaming(); }
   nnz_t num_output_fibers() const noexcept { return plan_->num_segments; }
   const std::shared_ptr<const engine::OpPlan>& op_plan() const noexcept { return plan_; }
   engine::Engine& engine() const noexcept { return *engine_; }

@@ -3,8 +3,8 @@
 namespace ust::core {
 
 UnifiedTtmc::UnifiedTtmc(engine::Engine& engine, const CooTensor& tensor, int mode,
-                         Partitioning part, const StreamingOptions& stream)
-    : engine_(&engine), plan_(engine.plan(tensor, engine::OpKind::kSpTTMc, mode, part, stream)) {}
+                         Partitioning part)
+    : engine_(&engine), plan_(engine.plan(tensor, engine::OpKind::kSpTTMc, mode, part)) {}
 
 engine::OpRequest UnifiedTtmc::request(const DenseMatrix& u_first,
                                        const DenseMatrix& u_second, DenseMatrix& out,

@@ -20,14 +20,14 @@ namespace ust::core {
 class UnifiedTtmc {
  public:
   /// Currently implemented for 3-order tensors (the paper's evaluation
-  /// scope); `mode` selects the index mode. See UnifiedMttkrp for the
-  /// `stream` semantics.
+  /// scope); `mode` selects the index mode. The plan comes from the
+  /// engine's primary plan cache, as for UnifiedMttkrp. The engine must outlive
+  /// this object.
   UnifiedTtmc(engine::Engine& engine, const CooTensor& tensor, int mode,
-              Partitioning part, const StreamingOptions& stream = {});
+              Partitioning part);
 
   int mode() const noexcept { return plan_->mode; }
   const UnifiedPlan& plan() const { return plan_->unified_plan(); }
-  bool streaming() const noexcept { return plan_->streaming(); }
   const std::shared_ptr<const engine::OpPlan>& op_plan() const noexcept { return plan_; }
   engine::Engine& engine() const noexcept { return *engine_; }
 

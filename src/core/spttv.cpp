@@ -3,8 +3,8 @@
 namespace ust::core {
 
 UnifiedTtv::UnifiedTtv(engine::Engine& engine, const CooTensor& tensor, int mode,
-                       Partitioning part, const StreamingOptions& stream)
-    : engine_(&engine), plan_(engine.plan(tensor, engine::OpKind::kSpTTV, mode, part, stream)) {}
+                       Partitioning part)
+    : engine_(&engine), plan_(engine.plan(tensor, engine::OpKind::kSpTTV, mode, part)) {}
 
 engine::OpRequest UnifiedTtv::request(std::span<const std::vector<value_t>> vectors,
                                       std::vector<value_t>& out,

@@ -25,13 +25,12 @@ namespace ust::core {
 
 class UnifiedTtv {
  public:
-  /// See UnifiedMttkrp for the `stream` semantics.
-  UnifiedTtv(engine::Engine& engine, const CooTensor& tensor, int mode, Partitioning part,
-             const StreamingOptions& stream = {});
+  /// The plan comes from the engine's primary plan cache, as for
+  /// UnifiedMttkrp. The engine must outlive this object.
+  UnifiedTtv(engine::Engine& engine, const CooTensor& tensor, int mode, Partitioning part);
 
   int mode() const noexcept { return plan_->mode; }
   const UnifiedPlan& plan() const { return plan_->unified_plan(); }
-  bool streaming() const noexcept { return plan_->streaming(); }
   const std::shared_ptr<const engine::OpPlan>& op_plan() const noexcept { return plan_; }
   engine::Engine& engine() const noexcept { return *engine_; }
 

@@ -144,7 +144,7 @@ TuckerResult tucker_hooi_unified(engine::Engine& engine, const CooTensor& tensor
   std::vector<UnifiedTtmc> ops;
   ops.reserve(3);
   for (int m = 0; m < 3; ++m) {
-    ops.emplace_back(engine, tensor, m, options.part, options.streaming);
+    ops.emplace_back(engine, tensor, m, options.part);
   }
   return tucker_hooi_impl(ops, tensor, options);
 }

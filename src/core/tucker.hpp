@@ -24,8 +24,6 @@ struct TuckerOptions {
   /// Kernel options for every TTMc; kernel.shard.num_devices > 1 shards each
   /// mode update across a simulated device group (see CpOptions::kernel).
   UnifiedOptions kernel;
-  /// Streams every TTMc through bounded-memory chunk plans when enabled.
-  StreamingOptions streaming;
   std::uint64_t seed = 42;
 };
 

@@ -100,10 +100,9 @@ struct UnifiedOptions {
   /// Native backend only: caps the worker-chunk size (in non-zeros) of the
   /// accumulation grid. 0 = auto (16 chunks whatever the pool width; see
   /// native::make_chunks); non-zero values must be a multiple of the
-  /// plan's threadlen (see core::validate). The
-  /// streaming pipeline shares this grid, which is what makes chunked
-  /// execution bitwise identical to single-shot native; the auto-tuner
-  /// sweeps it as a fourth grid axis (core::tune_backends).
+  /// plan's threadlen (see core::validate). The sharder caps its grid with
+  /// it, and the auto-tuner sweeps it as a fourth grid axis
+  /// (core::tune_backends).
   nnz_t chunk_nnz = 0;
   /// Native backend only: caps the accumulator-tile width (output columns)
   /// one pass over a chunk's non-zeros accumulates, so wide outputs
@@ -118,28 +117,7 @@ struct UnifiedOptions {
   ShardOptions shard = {};
 };
 
-/// Options for the streaming pipeline (src/pipeline/): partitions the F-COO
-/// non-zeros into bounded-memory chunks and drives them through a
-/// double-buffered plan-build/execute pipeline instead of uploading one
-/// monolithic UnifiedPlan (DESIGN.md §9). Native backend only.
-struct StreamingOptions {
-  bool enabled = false;
-  /// Device-byte budget per resident chunk plan. Consecutive worker chunks
-  /// are grouped until the budget is reached (always at least one worker
-  /// chunk per streamed chunk, so this is a soft bound). 0 = no grouping:
-  /// every worker chunk becomes its own streamed chunk.
-  std::size_t chunk_bytes = 64u << 20;
-  /// Worker-chunk cap in non-zeros, the streaming analogue of
-  /// UnifiedOptions::chunk_nnz (must be a multiple of threadlen when
-  /// non-zero). 0 = derive from chunk_bytes. Run streaming and single-shot
-  /// with the same resolved value and the results are bitwise identical.
-  nnz_t chunk_nnz = 0;
-  /// Chunk plans buffered ahead of execution (>= 1); 2 = classic double
-  /// buffering: the plan for chunk k+1 is built/uploaded while chunk k runs.
-  unsigned max_in_flight = 2;
-};
-
-/// Thrown by core::validate for malformed launch/streaming options.
+/// Thrown by core::validate for malformed launch options.
 class InvalidOptions : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
@@ -147,13 +125,10 @@ class InvalidOptions : public std::invalid_argument {
 
 /// Central option validation used by all four unified ops (and UnifiedPlan):
 /// rejects threadlen == 0, block_size == 0, a chunk_nnz that is not a
-/// multiple of threadlen, streaming on the sim backend, max_in_flight == 0,
-/// shard.num_devices == 0, and sharding on the sim backend. Throws
-/// InvalidOptions.
+/// multiple of threadlen, shard.num_devices == 0, and sharding on the sim
+/// backend. Throws InvalidOptions.
 void validate(const Partitioning& part);
 void validate(const Partitioning& part, const UnifiedOptions& opt);
-void validate(const Partitioning& part, const UnifiedOptions& opt,
-              const StreamingOptions& stream);
 
 /// Raw device-side view of an F-COO tensor plus partition metadata, passed
 /// by value into kernels (pointers reference DeviceBuffer storage owned by a

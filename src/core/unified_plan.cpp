@@ -7,11 +7,6 @@ namespace ust::core {
 void validate(const Partitioning& part) { validate(part, UnifiedOptions{}); }
 
 void validate(const Partitioning& part, const UnifiedOptions& opt) {
-  validate(part, opt, StreamingOptions{});
-}
-
-void validate(const Partitioning& part, const UnifiedOptions& opt,
-              const StreamingOptions& stream) {
   if (part.threadlen == 0) throw InvalidOptions("threadlen must be >= 1");
   if (part.block_size == 0) throw InvalidOptions("block_size must be >= 1");
   if (opt.chunk_nnz != 0 && opt.chunk_nnz % part.threadlen != 0) {
@@ -24,16 +19,6 @@ void validate(const Partitioning& part, const UnifiedOptions& opt,
   }
   if (opt.shard.num_devices > 1 && opt.backend != ExecBackend::kNative) {
     throw InvalidOptions("sharded execution requires ExecBackend::kNative");
-  }
-  if (!stream.enabled) return;
-  if (opt.backend != ExecBackend::kNative) {
-    throw InvalidOptions("streaming execution requires ExecBackend::kNative");
-  }
-  if (stream.max_in_flight == 0) throw InvalidOptions("max_in_flight must be >= 1");
-  if (stream.chunk_nnz != 0 && stream.chunk_nnz % part.threadlen != 0) {
-    throw InvalidOptions("streaming chunk_nnz (" + std::to_string(stream.chunk_nnz) +
-                         ") must be a multiple of threadlen (" +
-                         std::to_string(part.threadlen) + ")");
   }
 }
 

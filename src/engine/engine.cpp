@@ -1,10 +1,8 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "core/native_exec.hpp"
-#include "pipeline/stream_executor.hpp"
 #include "sim/executor.hpp"
 #include "util/timer.hpp"
 
@@ -89,15 +87,7 @@ const char* op_kind_name(OpKind kind) {
   return "?";
 }
 
-pipeline::HostFcoo OpPlan::host() const {
-  if (fcoo != nullptr) {
-    // Streaming: the retained host tensor. seg_row follows the op's output
-    // convention -- fiber ordinals for SpTTM, the index-mode coordinate else.
-    if (kind == OpKind::kSpTTM) return pipeline::host_view(*fcoo, seg_ordinals);
-    return pipeline::host_view(*fcoo, fcoo->segment_coords(0));
-  }
-  return pipeline::host_view(unified_plan());
-}
+pipeline::HostFcoo OpPlan::host() const { return pipeline::host_view(unified_plan()); }
 
 index_t OpPlan::out_rows() const {
   if (kind == OpKind::kSpTTM) return static_cast<index_t>(num_segments);
@@ -180,9 +170,8 @@ void Engine::start_workers_locked() {
 }
 
 std::shared_ptr<const OpPlan> Engine::plan(const CooTensor& tensor, OpKind kind, int mode,
-                                           const Partitioning& part,
-                                           const core::StreamingOptions& stream) {
-  core::validate(part, core::UnifiedOptions{}, stream);
+                                           const Partitioning& part) {
+  core::validate(part);
   if (kind == OpKind::kSpTTMc) UST_EXPECTS(tensor.order() == 3);
   const core::ModePlan mp = mode_plan_for(kind, tensor.order(), mode);
   UST_EXPECTS(mp.product_modes.size() <= kMaxProductModes);
@@ -200,29 +189,6 @@ std::shared_ptr<const OpPlan> Engine::plan(const CooTensor& tensor, OpKind kind,
   p->cache_op = mp.op;
   p->mode = mode;
   p->part = part;
-  p->stream = stream;
-
-  if (stream.enabled) {
-    // Streaming plans never touch the caches (chunk plans are transient, and
-    // sharded streaming bypasses acquire_shard_plan), so they carry no
-    // fingerprint.
-    auto f = std::make_shared<FcooTensor>(
-        FcooTensor::build(tensor, mp.index_modes, mp.product_modes, &dev0->pool()));
-    p->dims = f->dims();
-    p->index_modes = f->index_modes();
-    p->product_modes = f->product_modes();
-    p->nnz = f->nnz();
-    p->num_segments = f->num_segments();
-    if (kind == OpKind::kSpTTM) {
-      p->seg_ordinals.resize(p->num_segments);
-      std::iota(p->seg_ordinals.begin(), p->seg_ordinals.end(), index_t{0});
-      for (std::size_t m = 0; m < mp.index_modes.size(); ++m) {
-        p->fiber_coords.push_back(f->segment_coords(m));
-      }
-    }
-    p->fcoo = std::move(f);
-    return p;
-  }
 
   // Fingerprinted because the per-device (primary, replica and shard) caches
   // are shared across ops and tensors, so keys must carry the tensor
@@ -299,7 +265,6 @@ std::shared_ptr<const pipeline::CachedPlan> Engine::replica_plan(unsigned d,
 }
 
 void Engine::forget(const OpPlan& plan) {
-  if (plan.streaming()) return;
   // Reconstruct the keys the plan's entries were cached under: the primary
   // whole-tensor bundle (pipeline::acquire_plan's key shape) plus one
   // whole-range replica plan per additional device (replica_plan's shape).
@@ -331,7 +296,7 @@ void Engine::forget(const OpPlan& plan) {
 }
 
 void Engine::prewarm(const OpPlan& plan) {
-  if (plan.streaming() || plan.nnz == 0) return;
+  if (plan.nnz == 0) return;
   unsigned n = 0;
   {
     std::lock_guard lock(state_mutex_);
@@ -400,26 +365,6 @@ void Engine::exec_batch(unsigned d, DeviceRt& rt, std::span<const OpRequest* con
   };
 
   if (p.nnz == 0 || cols == 0) {
-    copy_out();
-    retire();
-    return;
-  }
-
-  if (p.stream.enabled) {
-    UST_EXPECTS(n == 1);  // streaming requests never batch
-    // Bounded-memory chunk plans built on (and released from) this device.
-    with_expr_maker(p.kind, nprod, r0, r1, [&](auto maker) {
-      pipeline::stream_execute(
-          dev, p.host(), p.part, out_views[0], p.stream,
-          [&](const pipeline::ChunkPlan& c) {
-            std::array<const index_t*, kMaxProductModes> px{};
-            for (std::size_t i = 0; i < nprod; ++i) {
-              px[i] = c.product_indices(i);
-            }
-            return maker(px.data(), fcs[0].data());
-          },
-          opt.rank_block);
-    });
     copy_out();
     retire();
     return;
@@ -505,7 +450,6 @@ bool Engine::batch_compatible(const OpRequest& a, const OpRequest& b) {
   // cross-tenant bursts fuse too), same kind (SpTTV shares SpMTTKRP bundles
   // but needs a different expression), same shapes (one maker, one worker
   // grid, equal-width tiles) and same grid knobs.
-  if (pa.streaming() || pb.streaming()) return false;
   if (pa.bundle == nullptr || pa.bundle.get() != pb.bundle.get()) return false;
   if (pa.kind != pb.kind || pa.mode != pb.mode) return false;
   if (a.options.backend != core::ExecBackend::kNative ||
@@ -528,7 +472,7 @@ bool Engine::batch_compatible(const OpRequest& a, const OpRequest& b) {
 void Engine::run(const OpRequest& req) {
   validate_request(req);
   const OpPlan& p = *req.plan;
-  core::validate(p.part, req.options, p.stream);
+  core::validate(p.part, req.options);
   if (req.options.shard.num_devices > 1) {
     run_sharded_impl(req, nullptr);
     return;
@@ -550,16 +494,15 @@ void Engine::run_batched(const BatchedRequest& batch) {
   UST_EXPECTS(!batch.requests.empty());
   for (const OpRequest& req : batch.requests) {
     validate_request(req);
-    core::validate(req.plan->part, req.options, req.plan->stream);
+    core::validate(req.plan->part, req.options);
   }
   // Greedy run-length fusion: adjacent compatible requests execute as one
-  // pass; anything unfusable (streaming, sharded, sim backend, or simply
-  // different) falls back to its usual synchronous path.
+  // pass; anything unfusable (sharded, sim backend, or simply different)
+  // falls back to its usual synchronous path.
   std::size_t i = 0;
   while (i < batch.requests.size()) {
     const OpRequest& head = batch.requests[i];
-    const bool fusable = !head.plan->streaming() &&
-                         head.options.backend == core::ExecBackend::kNative &&
+    const bool fusable = head.options.backend == core::ExecBackend::kNative &&
                          head.options.shard.num_devices <= 1;
     std::size_t len = 1;
     if (fusable) {
@@ -598,7 +541,7 @@ void Engine::run_batched(const BatchedRequest& batch) {
 
 void Engine::run_sharded(const OpRequest& req, shard::Report* report) {
   validate_request(req);
-  core::validate(req.plan->part, req.options, req.plan->stream);
+  core::validate(req.plan->part, req.options);
   run_sharded_impl(req, report);
 }
 
@@ -644,8 +587,8 @@ void Engine::run_sharded_impl(const OpRequest& req, shard::Report* report) {
     // device's set goes back to its pool when the next device stages).
     std::vector<sim::DeviceBuffer<value_t>> sfac(nprod);
     unsigned staged_for = ~0u;
-    shard::execute(*group_, p.host(), p.part, out_view, req.options, p.stream,
-                   p.cache_op, p.mode, p.tensor_fp,
+    shard::execute(*group_, p.host(), p.part, out_view, req.options, p.cache_op, p.mode,
+                   p.tensor_fp,
                    [&](sim::Device& sdev, unsigned dd, const pipeline::ChunkPlan& c) {
                      if (staged_for != dd) {
                        if (staged_for != ~0u) rts[staged_for]->retire(sfac, max_batch_);
@@ -730,7 +673,7 @@ std::future<void> Engine::submit(OpRequest req, JobRecord* record, Admission adm
                                  std::function<void()> on_done) {
   validate_request(req);
   const OpPlan& p = *req.plan;
-  core::validate(p.part, req.options, p.stream);
+  core::validate(p.part, req.options);
   // A queued job may run on any device (placement or a steal picks it).
   // Sim-backend requests need the primary's UnifiedPlan and sharded ones a
   // span of devices, so both take the synchronous run().

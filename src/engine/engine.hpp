@@ -3,11 +3,11 @@
 // simulated device group (primary + replicas, each with its own worker pool),
 // one byte-budgeted PlanCache per device, and the submission machinery for
 // concurrent jobs -- and ONE dispatch path that routes every unified
-// operation (SpTTM, SpMTTKRP, SpTTMc, SpTTV) through the sim, native,
-// streaming, or sharded execution style. The paper's thesis is that these
-// operations are a single parallel program; this layer is where the codebase
-// says it architecturally: the four ops in src/core/ are thin front-ends that
-// build an OpRequest and hand it here.
+// operation (SpTTM, SpMTTKRP, SpTTMc, SpTTV) through the sim, native or
+// sharded execution style, always over one device-resident plan. The paper's
+// thesis is that these operations are a single parallel program; this layer
+// is where the codebase says it architecturally: the four ops in src/core/
+// are thin front-ends that build an OpRequest and hand it here.
 //
 // Concurrency model (`submit`): jobs enter a bounded queue and are admitted
 // to per-device sub-queues by one placement rule (DESIGN.md §15): a job
@@ -72,48 +72,41 @@ struct HostMatrixView {
   index_t cols = 0;
 };
 
-/// The engine's F-COO handle for one (tensor, operation, mode, partitioning,
-/// streaming) tuple: everything needed to execute the op on any device of the
-/// group. Immutable after creation, so concurrent jobs share it freely.
-/// Non-streaming plans carry the primary-device bundle (UnifiedPlan + SpTTM
-/// fiber coordinates); replica devices get whole-range chunk plans built on
-/// demand from the bundle's host-visible arrays and cached per device.
-/// Streaming plans retain the host FcooTensor instead and build bounded
-/// chunk plans on whatever device runs them.
+/// The engine's F-COO handle for one (tensor, operation, mode, partitioning)
+/// tuple: everything needed to execute the op on any device of the group.
+/// Immutable after creation, so concurrent jobs share it freely. It carries
+/// the primary-device bundle (UnifiedPlan + SpTTM fiber coordinates);
+/// replica devices get whole-range chunk plans built on demand from the
+/// bundle's host-visible arrays and cached per device.
 struct OpPlan {
   OpKind kind = OpKind::kSpMTTKRP;
   core::TensorOp cache_op = core::TensorOp::kSpMTTKRP;  // plan-cache identity
   int mode = 0;
   Partitioning part;
-  core::StreamingOptions stream;
   std::uint64_t tensor_fp = 0;
   std::vector<index_t> dims;
   std::vector<int> index_modes;
   std::vector<int> product_modes;
   nnz_t nnz = 0;
   nnz_t num_segments = 0;
-  /// Primary-device plan bundle (null when streaming). May alias a PlanCache
-  /// entry; the shared_ptr alone keeps it alive past eviction.
+  /// Primary-device plan bundle. May alias a PlanCache entry; the
+  /// shared_ptr alone keeps it alive past eviction.
   std::shared_ptr<const pipeline::CachedPlan> bundle;
-  /// Retained host tensor (streaming only).
-  std::shared_ptr<const FcooTensor> fcoo;
-  /// SpTTM streaming: ordinal seg_row backing the host view (output rows are
-  /// fiber ordinals; no UnifiedPlan exists to provide them).
-  std::vector<index_t> seg_ordinals;
   /// SpTTM: per-index-mode fiber coordinates for sCOO output assembly; views
-  /// into the bundle or the host tensor, never a copy.
+  /// into the bundle, never a copy.
   std::vector<std::span<const index_t>> fiber_coords;
 
-  bool streaming() const noexcept { return stream.enabled; }
   const core::UnifiedPlan& unified_plan() const {
     UST_EXPECTS(bundle != nullptr);
     return bundle->plan;
   }
-  /// Bytes this plan keeps resident on the primary device (0 for streaming
-  /// plans, whose chunk plans are transient). The unit the service's
-  /// per-tenant plan quotas are accounted in (DESIGN.md §12).
-  std::size_t resident_bytes() const { return bundle != nullptr ? bundle->bytes() : 0; }
-  /// Host-side view for the chunk/shard plan builders.
+  /// Bytes this plan keeps resident on the primary device. The unit the
+  /// service's per-tenant plan quotas are accounted in (DESIGN.md §12).
+  std::size_t resident_bytes() const {
+    UST_EXPECTS(bundle != nullptr);
+    return bundle->bytes();
+  }
+  /// Host-side view for the replica and shard plan builders.
   pipeline::HostFcoo host() const;
   /// Output rows of this operation (fiber count for SpTTM, dims[mode] else).
   index_t out_rows() const;
@@ -175,12 +168,12 @@ struct EngineOptions {
 
 /// N requests executed as one engine call. Consecutive *batch-compatible*
 /// requests -- same plan content (identical cached bundle), same op kind,
-/// same factor/output shapes, native backend, non-streaming, non-sharded,
-/// equal chunk_nnz / rank_block -- are fused into one pass over the nnz
-/// stream; anything else (streaming, sharded, sim, or mismatched) executes
-/// sequentially in its position. Either way every request's result is
-/// bitwise identical to running it alone, so callers (CP-ALS inner
-/// iterations, same-plan bursts) batch freely.
+/// same factor/output shapes, native backend, non-sharded, equal chunk_nnz /
+/// rank_block -- are fused into one pass over the nnz stream; anything else
+/// (sharded, sim, or mismatched) executes sequentially in its position.
+/// Either way every request's result is bitwise identical to running it
+/// alone, so callers (CP-ALS inner iterations, same-plan bursts) batch
+/// freely.
 struct BatchedRequest {
   std::vector<OpRequest> requests;
 };
@@ -284,8 +277,7 @@ class Engine {
   /// engine's primary-device cache. The fingerprint and a missing plan's
   /// build run on the primary device's pool.
   std::shared_ptr<const OpPlan> plan(const CooTensor& tensor, OpKind kind, int mode,
-                                     const Partitioning& part,
-                                     const core::StreamingOptions& stream = {});
+                                     const Partitioning& part);
 
   /// Synchronous execution on the primary device (or the sharded path when
   /// req.options.shard.num_devices > 1). Serialises against submitted jobs on
@@ -332,12 +324,11 @@ class Engine {
   /// whole-tensor bundle and any whole-range replica plans -- releasing
   /// their bytes from the per-device budgets. Holders of the OpPlan keep a
   /// valid (now uncached) plan; a later plan() for the same tuple rebuilds.
-  /// No-op for streaming plans, which never touch the caches.
   void forget(const OpPlan& plan);
 
   /// Builds (and caches) the whole-range replica plan for `plan` on every
   /// device of the group, so a following submit() burst measures execution,
-  /// not first-touch plan uploads. No-op for streaming plans.
+  /// not first-touch plan uploads.
   void prewarm(const OpPlan& plan);
 
   EngineStats stats() const;
@@ -402,11 +393,11 @@ class Engine {
   void worker_loop(unsigned d, DeviceRt* rt);
   /// True when `a` and `b` can fuse into one batched native execution: same
   /// cached plan content (bundle pointer), same kind, same factor/output
-  /// shapes, native backend, non-streaming, non-sharded, equal chunk_nnz and
-  /// rank_block (one worker grid and pass structure must serve the batch).
+  /// shapes, native backend, non-sharded, equal chunk_nnz and rank_block (one
+  /// worker grid and pass structure must serve the batch).
   static bool batch_compatible(const OpRequest& a, const OpRequest& b);
   /// Single-device execution of reqs on device d: one request follows the
-  /// full sim / native / streaming dispatch; two or more (callers guarantee
+  /// full sim / native dispatch; two or more (callers guarantee
   /// pairwise batch compatibility) stage per-request factors and outputs and
   /// run core::native::execute_batched. Caller holds rt.exec_mutex (rt is
   /// device d's runtime slot).

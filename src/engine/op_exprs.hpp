@@ -21,8 +21,8 @@
 //
 // An ExprMaker binds the operation's rank parameters and produces the
 // expression from (product-index pointers, factor-data pointers); the engine
-// resolves those pointers per execution target (whole-tensor plan, stream
-// chunk, or shard slice), so one maker serves every dispatch path.
+// resolves those pointers per execution target (whole-tensor plan, replica
+// plan, or shard slice), so one maker serves every dispatch path.
 #pragma once
 
 #include <algorithm>

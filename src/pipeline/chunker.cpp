@@ -6,20 +6,6 @@
 
 namespace ust::pipeline {
 
-HostFcoo host_view(const FcooTensor& fcoo, std::span<const index_t> seg_row) {
-  HostFcoo h;
-  h.bf_words = fcoo.bit_flags().words();
-  h.vals = fcoo.values();
-  h.pidx.reserve(fcoo.product_modes().size());
-  for (std::size_t p = 0; p < fcoo.product_modes().size(); ++p) {
-    h.pidx.push_back(fcoo.product_indices(p));
-  }
-  h.seg_row = seg_row;
-  h.nnz = fcoo.nnz();
-  h.num_segments = fcoo.num_segments();
-  return h;
-}
-
 HostFcoo host_view(const core::UnifiedPlan& plan) {
   HostFcoo h;
   const core::FcooView v = plan.view();
@@ -35,66 +21,15 @@ HostFcoo host_view(const core::UnifiedPlan& plan) {
   return h;
 }
 
-std::size_t plan_bytes_per_nnz(std::size_t num_product_modes) {
-  // index_t per product mode + the value; the head-flag bit is charged via
-  // the +1/8 (rounded up by the caller's per-chunk estimate).
-  return num_product_modes * sizeof(index_t) + sizeof(value_t) + 1;
-}
-
-nnz_t resolve_chunk_nnz(nnz_t nnz, std::size_t num_product_modes,
-                        const Partitioning& part, const core::StreamingOptions& opt) {
-  if (opt.chunk_nnz != 0) {
-    UST_EXPECTS(opt.chunk_nnz % part.threadlen == 0);
-    return opt.chunk_nnz;
-  }
-  if (opt.chunk_bytes == 0 || nnz == 0) return 0;
-  const nnz_t by_bytes =
-      static_cast<nnz_t>(opt.chunk_bytes / plan_bytes_per_nnz(num_product_modes));
-  // Round down to a threadlen multiple so worker chunks stay aligned to
-  // partition boundaries; never below one partition.
-  const nnz_t aligned = (by_bytes / part.threadlen) * part.threadlen;
-  return std::max<nnz_t>(part.threadlen, aligned);
-}
-
-std::vector<StreamChunk> group_worker_chunks(std::span<const core::native::Chunk> grid,
-                                             std::size_t chunk_bytes, std::size_t per_nnz) {
-  // Group consecutive worker chunks until the byte budget is reached. At
-  // least one worker chunk goes into every stream chunk, so chunk_bytes is a
-  // soft bound: a single worker chunk larger than the budget still streams
-  // (lower chunk_nnz / chunk_bytes to shrink the grid instead).
-  std::vector<StreamChunk> chunks;
-  std::size_t g = 0;
-  while (g < grid.size()) {
-    StreamChunk sc;
-    sc.lo = grid[g].lo;
-    std::size_t bytes = 0;
-    while (g < grid.size()) {
-      const std::size_t wbytes = static_cast<std::size_t>(grid[g].hi - grid[g].lo) * per_nnz;
-      if (!sc.workers.empty() && chunk_bytes != 0 && bytes + wbytes > chunk_bytes) {
-        break;
-      }
-      sc.workers.push_back(
-          core::native::Chunk{grid[g].lo - sc.lo, grid[g].hi - sc.lo});
-      bytes += wbytes;
-      sc.hi = grid[g].hi;
-      ++g;
-      if (chunk_bytes == 0) break;  // one worker chunk per stream chunk
-    }
-    sc.est_device_bytes = bytes;
-    chunks.push_back(std::move(sc));
-  }
-  return chunks;
-}
-
 void annotate_segments(std::span<const std::uint64_t> bf_words, nnz_t nnz,
-                       std::span<StreamChunk> chunks, nnz_t first_seg_at_lo) {
+                       std::span<StreamChunk> chunks) {
   if (chunks.empty()) return;
   UST_EXPECTS(chunks.back().hi <= nnz);
   // `seg` is the global id of the segment open at non-zero `at`; every head
   // after `at` opens the next one. Each chunk costs two word-wise popcounts,
-  // so the whole pass is O(chunks + span / 64).
-  nnz_t at = chunks.front().lo;
-  nnz_t seg = first_seg_at_lo;
+  // so the whole pass is O(chunks + nnz / 64).
+  nnz_t at = 0;
+  nnz_t seg = 0;
   for (StreamChunk& c : chunks) {
     UST_EXPECTS(at <= c.lo && c.lo <= c.hi);
     // An empty chunk past the last non-zero reports the last segment.
@@ -111,27 +46,6 @@ void annotate_segments(std::span<const std::uint64_t> bf_words, nnz_t nnz,
     seg += opened;
     at = c.hi - 1;
   }
-}
-
-ChunkerResult make_stream_chunks(const HostFcoo& host, const Partitioning& part,
-                                 const core::StreamingOptions& opt) {
-  ChunkerResult result;
-  const nnz_t nnz = host.nnz;
-  result.chunk_nnz = resolve_chunk_nnz(nnz, host.pidx.size(), part, opt);
-  if (nnz == 0) return result;
-
-  const std::vector<core::native::Chunk> grid =
-      core::native::make_chunks(nnz, part.threadlen, result.chunk_nnz);
-  result.chunks =
-      group_worker_chunks(grid, opt.chunk_bytes, plan_bytes_per_nnz(host.pidx.size()));
-  annotate_segments(host.bf_words, nnz, result.chunks);
-  UST_ENSURES(result.chunks.front().lo == 0 && result.chunks.back().hi == nnz);
-  return result;
-}
-
-ChunkerResult make_stream_chunks(const FcooTensor& fcoo, const Partitioning& part,
-                                 const core::StreamingOptions& opt) {
-  return make_stream_chunks(host_view(fcoo, {}), part, opt);
 }
 
 std::vector<std::uint64_t> slice_bits(std::span<const std::uint64_t> words, nnz_t lo,
@@ -151,6 +65,81 @@ std::vector<std::uint64_t> slice_bits(std::span<const std::uint64_t> words, nnz_
   const nnz_t rem = count & 63;
   if (rem != 0) out.back() &= (1ull << rem) - 1;
   return out;
+}
+
+core::FcooView ChunkPlan::view() const {
+  core::FcooView v;
+  v.bf_words = bf_words.data();
+  v.vals = vals.data();
+  v.thread_first_seg = thread_first_seg.data();
+  v.seg_row = seg_row.data();
+  v.nnz = total_nnz - spec.lo;
+  v.num_segments = spec.num_segments;
+  v.threadlen = threadlen;
+  return v;
+}
+
+std::size_t ChunkPlan::device_bytes() const {
+  std::size_t b = bf_words.byte_size() + vals.byte_size() + thread_first_seg.byte_size() +
+                  seg_row.byte_size();
+  for (const auto& p : pidx) b += p.byte_size();
+  return b;
+}
+
+std::unique_ptr<ChunkPlan> build_chunk_plan(sim::Device& device, const HostFcoo& host,
+                                            const Partitioning& part,
+                                            const StreamChunk& spec, index_t row_base) {
+  UST_EXPECTS(host.seg_row.size() == host.num_segments);
+  auto plan = std::make_unique<ChunkPlan>();
+  plan->spec = spec;
+  plan->total_nnz = host.nnz;
+  plan->row_base = row_base;
+  plan->threadlen = part.threadlen;
+  const nnz_t count = spec.hi - spec.lo;
+
+  // Head flags: the slice carries one bit past the chunk (when it exists) so
+  // the last worker chunk can test whether a segment closes at the boundary.
+  const nnz_t bit_count = std::min<nnz_t>(spec.hi + 1, host.nnz) - spec.lo;
+  const std::vector<std::uint64_t> bits = slice_bits(host.bf_words, spec.lo, bit_count);
+  plan->bf_words = device.alloc<std::uint64_t>(bits.size());
+  plan->bf_words.copy_from_host(bits);
+
+  plan->vals = device.alloc<value_t>(count);
+  plan->vals.copy_from_host(host.vals.subspan(spec.lo, count));
+
+  plan->pidx.reserve(host.pidx.size());
+  for (std::size_t p = 0; p < host.pidx.size(); ++p) {
+    auto buf = device.alloc<index_t>(count);
+    buf.copy_from_host(host.pidx[p].subspan(spec.lo, count));
+    plan->pidx.push_back(std::move(buf));
+  }
+
+  // Local partition -> local segment id: the SAME scan UnifiedPlan runs,
+  // applied to the chunk-local bit slice (spec.lo is threadlen-aligned).
+  const std::vector<index_t> first_seg =
+      first_segment_per_partition(bits, count, part.threadlen);
+  plan->thread_first_seg = device.alloc<index_t>(first_seg.size());
+  plan->thread_first_seg.copy_from_host(first_seg);
+
+  // Local segment id -> output row: the host view's seg_row already encodes
+  // the operation's output convention (index-mode coordinate for row-indexed
+  // outputs, global segment ordinal for SpTTM's fiber order) -- mirroring
+  // UnifiedPlan's seg_row, restricted to this chunk's segments and rebased
+  // to row_base (0 for a replica plan: global rows).
+  const auto rows_slice = host.seg_row.subspan(spec.first_seg, spec.num_segments);
+  if (row_base == 0) {
+    plan->seg_row = device.alloc<index_t>(spec.num_segments);
+    plan->seg_row.copy_from_host(rows_slice);
+  } else {
+    std::vector<index_t> rows(rows_slice.begin(), rows_slice.end());
+    for (index_t& r : rows) {
+      UST_EXPECTS(r >= row_base);
+      r -= row_base;
+    }
+    plan->seg_row = device.alloc<index_t>(spec.num_segments);
+    plan->seg_row.copy_from_host(rows);
+  }
+  return plan;
 }
 
 }  // namespace ust::pipeline

@@ -1,6 +1,6 @@
 #include "pipeline/plan_cache.hpp"
 
-#include "pipeline/stream_executor.hpp"
+#include "pipeline/chunker.hpp"
 #include "tensor/fcoo.hpp"
 
 namespace ust::pipeline {

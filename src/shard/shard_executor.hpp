@@ -18,9 +18,6 @@
 //
 // Hence sharded execution is bitwise identical to single-device native with
 // the same UnifiedOptions::chunk_nnz (tests/shard_equivalence_test.cpp).
-// Shards whose plans exceed StreamingOptions::chunk_bytes can themselves
-// stream through pipeline::ChunkPlanStream -- the two subsystems compose:
-// shards in space, chunks in time.
 #pragma once
 
 #include <memory>
@@ -30,7 +27,6 @@
 #include "core/unified_kernel.hpp"
 #include "pipeline/chunker.hpp"
 #include "pipeline/plan_cache.hpp"
-#include "pipeline/stream_executor.hpp"
 #include "shard/sharder.hpp"
 #include "sim/device.hpp"
 #include "util/timer.hpp"
@@ -108,26 +104,20 @@ std::shared_ptr<const pipeline::ChunkPlan> acquire_shard_plan(
 /// and factor data the caller staged on `device` (it is called once per shard
 /// plan, in device order, so per-device staging can be done lazily inside
 /// it). `out` is the final output view on the PRIMARY device,
-/// zero-initialised by the caller. When `stream.enabled`, shards run through
-/// the streaming pipeline in bounded-memory chunks instead of one resident
-/// shard plan (and bypass the shard-plan caches, as streaming always does).
-/// `op`/`mode`/`tensor_fp` key the per-device plan caches.
+/// zero-initialised by the caller. `op`/`mode`/`tensor_fp` key the
+/// per-device plan caches.
 template <class ExprFactory>
 void execute(DeviceGroup& group, const pipeline::HostFcoo& host, const Partitioning& part,
-             const core::OutView& out, const core::UnifiedOptions& opt,
-             const core::StreamingOptions& stream, core::TensorOp op, int mode,
-             std::uint64_t tensor_fp, const ExprFactory& make_expr,
+             const core::OutView& out, const core::UnifiedOptions& opt, core::TensorOp op,
+             int mode, std::uint64_t tensor_fp, const ExprFactory& make_expr,
              Report* report = nullptr) {
   if (report != nullptr) *report = Report{};
   if (host.nnz == 0 || out.num_cols == 0) return;
   const std::size_t cols = out.num_cols;
-  const nnz_t cap = stream.enabled
-                        ? pipeline::resolve_chunk_nnz(host.nnz, host.pidx.size(), part, stream)
-                        : opt.chunk_nnz;
-  // The single-device grid for this cap: a single-device run on any device
-  // uses the identical grid.
+  // The single-device grid for opt.chunk_nnz: a single-device run on any
+  // device uses the identical grid.
   const ShardingResult sharding =
-      make_shards(host.nnz, host.bf_words, part.threadlen, cap, opt.shard);
+      make_shards(host.nnz, host.bf_words, part.threadlen, opt.chunk_nnz, opt.shard);
   UST_EXPECTS(group.size() >= sharding.shards.size());
 
   // Global boundary tiles, one slot per worker chunk of the global grid, in
@@ -177,60 +167,32 @@ void execute(DeviceGroup& group, const pipeline::HostFcoo& host, const Partition
     sim::DeviceBuffer<value_t> local = sdev.alloc<value_t>(range_elems);
     const core::OutView lout{local.data(), out.ld, out.num_cols};
 
-    const auto run_plan = [&](const pipeline::ChunkPlan& plan) {
-      // One launch per shard plan; blocks_executed counts worker chunks, so
-      // group-wide totals match a single-device run.
-      sdev.note_kernel_launch(plan.spec.workers.size());
-      const auto expr = make_expr(sdev, d, plan);
-      const std::vector<core::native::Chunk>& workers = plan.spec.workers;
-      // This plan's worker chunks are consecutive in the global grid
-      // starting at grid_offset; write boundary tiles straight into the
-      // global slots.
-      const std::size_t base = grid_offset;
-      const std::span<const core::OutView> louts(&lout, 1);
-      core::native::run_phase1(sdev.pool(), plan.view(), louts,
-                               std::span<const decltype(expr)>(&expr, 1), blocks, pass_off,
-                               cols, workers, &tails[base * cols], &heads[base * cols],
-                               &states[base]);
-      // Rebase the chunk-local segment ids to global for the final fold.
-      const index_t seg_base = static_cast<index_t>(plan.spec.first_seg);
-      for (std::size_t k = 0; k < workers.size(); ++k) {
-        states[base + k].first_seg += seg_base;
-        states[base + k].tail_seg += seg_base;
-      }
-      grid_offset += workers.size();
-    };
+    Timer plan_timer;
+    const std::shared_ptr<const pipeline::ChunkPlan> plan = acquire_shard_plan(
+        group.cache(d), sdev, host, part, op, mode, tensor_fp, shard, opt.chunk_nnz, row_lo);
+    dr.plan_s = plan_timer.seconds();
 
-    if (stream.enabled) {
-      // Composition with the streaming pipeline: this shard's worker chunks
-      // are regrouped into bounded-memory stream chunks and driven through
-      // the producer/consumer plan stream on the shard's device.
-      std::vector<core::native::Chunk> global_workers;
-      global_workers.reserve(shard.workers.size());
-      for (const core::native::Chunk& w : shard.workers) {
-        global_workers.push_back(core::native::Chunk{w.lo + shard.lo, w.hi + shard.lo});
-      }
-      pipeline::ChunkerResult chunks;
-      chunks.chunk_nnz = cap;
-      chunks.chunks = pipeline::group_worker_chunks(
-          global_workers, stream.chunk_bytes, pipeline::plan_bytes_per_nnz(host.pidx.size()));
-      pipeline::annotate_segments(host.bf_words, host.nnz, chunks.chunks, shard.first_seg);
-      pipeline::ChunkPlanStream plans(sdev, host, part, std::move(chunks),
-                                      stream.max_in_flight, row_lo);
-      Timer exec_timer;
-      while (std::unique_ptr<pipeline::ChunkPlan> plan = plans.next()) {
-        run_plan(*plan);
-      }
-      dr.exec_s = exec_timer.seconds();
-    } else {
-      Timer plan_timer;
-      const std::shared_ptr<const pipeline::ChunkPlan> plan = acquire_shard_plan(
-          group.cache(d), sdev, host, part, op, mode, tensor_fp, shard, cap, row_lo);
-      dr.plan_s = plan_timer.seconds();
-      Timer exec_timer;
-      run_plan(*plan);
-      dr.exec_s = exec_timer.seconds();
+    Timer exec_timer;
+    // One launch per shard plan; blocks_executed counts worker chunks, so
+    // group-wide totals match a single-device run.
+    sdev.note_kernel_launch(plan->spec.workers.size());
+    const auto expr = make_expr(sdev, d, *plan);
+    const std::vector<core::native::Chunk>& workers = plan->spec.workers;
+    // This shard's worker chunks are consecutive in the global grid starting
+    // at grid_offset; write boundary tiles straight into the global slots.
+    const std::size_t base = grid_offset;
+    const std::span<const core::OutView> louts(&lout, 1);
+    core::native::run_phase1(sdev.pool(), plan->view(), louts,
+                             std::span<const decltype(expr)>(&expr, 1), blocks, pass_off, cols,
+                             workers, &tails[base * cols], &heads[base * cols], &states[base]);
+    // Rebase the shard-local segment ids to global for the final fold.
+    const index_t seg_base = static_cast<index_t>(plan->spec.first_seg);
+    for (std::size_t k = 0; k < workers.size(); ++k) {
+      states[base + k].first_seg += seg_base;
+      states[base + k].tail_seg += seg_base;
     }
+    grid_offset += workers.size();
+    dr.exec_s = exec_timer.seconds();
 
     // Disjoint-row range merge into the final output. Adding the untouched
     // rows' +0.0f entries is bitwise neutral, so the merged value of every

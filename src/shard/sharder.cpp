@@ -54,8 +54,8 @@ ShardingResult make_shards(nnz_t nnz, std::span<const std::uint64_t> bf_words,
   }
   UST_ENSURES(result.shards.front().lo == 0 && result.shards.back().hi == nnz);
 
-  // Segment metadata from the head flags, a word at a time (the stream
-  // chunker's pass; an empty shard gets no segments).
+  // Segment metadata from the head flags, a word at a time (an empty shard
+  // gets no segments).
   pipeline::annotate_segments(bf_words, nnz, result.shards);
   return result;
 }

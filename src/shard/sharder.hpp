@@ -1,9 +1,8 @@
 // Sharder for multi-device execution (DESIGN.md §10): splits the native
 // backend's deterministic worker grid into one contiguous run of whole
 // worker chunks per device. Because shard boundaries are a subset of the
-// single-device grid -- the same property stream chunks have along the time
-// axis (pipeline/chunker.hpp) -- every worker chunk accumulates exactly as
-// it would single-device, and the cross-shard merge can replay the identical
+// single-device grid, every worker chunk accumulates exactly as it would
+// single-device, and the cross-shard merge can replay the identical
 // left-to-right carry fold. Shard boundaries are chosen by a balance policy:
 // raw non-zeros (the obvious split) or segment count (which prices the
 // per-segment commit work nnz-splitting cannot see; cf. Nisa et al.,
@@ -27,8 +26,7 @@ struct ShardingResult {
   /// Exactly num_devices entries, in device order, covering [0, nnz)
   /// contiguously. A shard may be empty (lo == hi, no workers) when there
   /// are more devices than worker chunks or when one chunk carries most of
-  /// the balance weight. spec.workers are shard-local (lo subtracted), like
-  /// a stream chunk's.
+  /// the balance weight. workers are shard-local (lo subtracted).
   std::vector<pipeline::StreamChunk> shards;
 };
 

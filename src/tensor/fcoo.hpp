@@ -38,9 +38,9 @@ struct Partitioning {
 /// Segment id of each threadlen-partition's first element over [0, nnz),
 /// where `bf` holds the head flags (bit x of word x/64): the id starts at 0
 /// and increments at every head strictly after position 0. Shared by
-/// UnifiedPlan (global bf) and the streaming executor's chunk-local plans
-/// (bf slice) so the partition-to-segment convention can never diverge
-/// between them. Counts a word at a time.
+/// UnifiedPlan (global bf) and pipeline::build_chunk_plan's replica and
+/// shard plans (bf slice) so the partition-to-segment convention can never
+/// diverge between them. Counts a word at a time.
 std::vector<index_t> first_segment_per_partition(std::span<const std::uint64_t> bf, nnz_t nnz,
                                                  unsigned threadlen);
 

@@ -13,8 +13,8 @@ namespace ust {
 
 /// Number of set bits in global positions [lo, hi) of a packed little-endian
 /// word array, counted a 64-bit word at a time (0 when lo >= hi). The head
-/// counter of the F-COO start flags, the stream chunker, the sharder and
-/// BitArray. Uses the POPCNT instruction where the CPU has it (bits.cpp).
+/// counter of the F-COO start flags, the chunk-plan segment pass, the sharder
+/// and BitArray. Uses the POPCNT instruction where the CPU has it (bits.cpp).
 nnz_t count_ones(std::span<const std::uint64_t> words, nnz_t lo, nnz_t hi);
 
 class BitArray {

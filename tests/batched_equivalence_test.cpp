@@ -3,7 +3,7 @@
 // worker's queue coalescing behind Engine::submit -- must be BITWISE
 // identical to running the N requests sequentially. Batching changes the
 // wall clock and the jobs_batched / batches_formed counters, never a byte of
-// output. Also covers batch formation rules (streaming / sharded / unequal
+// output. Also covers batch formation rules (sharded requests and unequal
 // shapes never fuse) and the counter invariants.
 #include <gtest/gtest.h>
 
@@ -186,10 +186,10 @@ TEST(BatchedEquivalence, SpttvBatchesBitwiseMatchSequential) {
   }
 }
 
-TEST(BatchedEquivalence, MixedCompositionWithStreamingAndSharding) {
-  // One BatchedRequest holding fusable same-plan jobs plus a streaming and a
-  // sharded request of the same op: the unfusable members fall back to their
-  // synchronous paths, and every output still matches its sequential run.
+TEST(BatchedEquivalence, MixedCompositionWithSharding) {
+  // One BatchedRequest holding fusable same-plan jobs plus a sharded request
+  // of the same op: the unfusable member falls back to its synchronous path,
+  // and every output still matches its sequential run.
   sim::Device dev;
   Engine eng(dev);
   Prng rng(6005);
@@ -197,39 +197,35 @@ TEST(BatchedEquivalence, MixedCompositionWithStreamingAndSharding) {
   const Partitioning part{.threadlen = 8, .block_size = 64};
   const index_t rank = 13;
   core::UnifiedMttkrp op(eng, t, 0, part);
-  core::UnifiedMttkrp streaming_op(eng, t, 0, part,
-                                   core::StreamingOptions{.enabled = true, .chunk_nnz = 64});
 
   UnifiedOptions shard_opt;
   shard_opt.shard.num_devices = 2;
 
   std::vector<std::vector<DenseMatrix>> factors;
   std::vector<DenseMatrix> seq_out, bat_out;
-  for (int j = 0; j < 4; ++j) {
+  for (int j = 0; j < 3; ++j) {
     factors.push_back(test::random_factors(t, rank, rng));
     seq_out.emplace_back(t.dim(0), rank);
     bat_out.emplace_back(t.dim(0), rank);
   }
   eng.run(op.request(factors[0], seq_out[0]));
   eng.run(op.request(factors[1], seq_out[1]));
-  eng.run(streaming_op.request(factors[2], seq_out[2]));
-  eng.run(op.request(factors[3], seq_out[3], shard_opt));
+  eng.run(op.request(factors[2], seq_out[2], shard_opt));
 
   BatchedRequest br;
   br.requests.push_back(op.request(factors[0], bat_out[0]));
   br.requests.push_back(op.request(factors[1], bat_out[1]));
-  br.requests.push_back(streaming_op.request(factors[2], bat_out[2]));
-  br.requests.push_back(op.request(factors[3], bat_out[3], shard_opt));
+  br.requests.push_back(op.request(factors[2], bat_out[2], shard_opt));
   eng.run_batched(br);
 
-  for (int j = 0; j < 4; ++j) {
+  for (int j = 0; j < 3; ++j) {
     const auto k = static_cast<std::size_t>(j);
     ASSERT_EQ(DenseMatrix::max_abs_diff(seq_out[k], bat_out[k]), 0.0) << "member " << j;
   }
 
   const EngineStats s = eng.stats();
-  // The two fusable members formed exactly one batch; streaming and sharded
-  // fell back to solo runs (counted in neither batching counter).
+  // The two fusable members formed exactly one batch; the sharded member
+  // fell back to a solo run (counted in neither batching counter).
   EXPECT_EQ(s.batches_formed, 1u);
   EXPECT_EQ(s.jobs_batched, 2u);
 }

@@ -1,5 +1,5 @@
 // Concurrent-submission fuzz (DESIGN.md §11): N client threads drive mixed
-// SpTTM / SpMTTKRP / SpTTMc / SpTTV jobs (including streaming jobs) at ONE
+// SpTTM / SpMTTKRP / SpTTMc / SpTTV jobs (on two worker grids) at ONE
 // engine with a multi-device group, and every result must be BITWISE
 // identical to the same request executed sequentially with run(). The native
 // worker grid is a function of (nnz, threadlen, chunk_nnz) alone, so a job's
@@ -47,17 +47,11 @@ TEST(EngineConcurrency, MixedOpsFromManyClientsBitwiseMatchSequential) {
     vecs.push_back(std::move(v));
   }
 
-  core::StreamingOptions stream;
-  stream.enabled = true;
-  stream.chunk_nnz = part.threadlen * 4;
-  stream.chunk_bytes = 0;
-
   // The op front-ends double as request factories; SemiSparseTensor outputs
   // are compared through their dense fiber-value matrices.
   core::UnifiedMttkrp mttkrp_a0(eng, ta, 0, part);
   core::UnifiedMttkrp mttkrp_a2(eng, ta, 2, part);
   core::UnifiedMttkrp mttkrp_b1(eng, tb, 1, part);
-  core::UnifiedMttkrp mttkrp_stream(eng, ta, 0, part, stream);
   core::UnifiedSpttm spttm(eng, ta, 2, part);
   core::UnifiedTtmc ttmc(eng, tb, 0, part);
   core::UnifiedTtv ttv(eng, ta, 1, part);
@@ -83,7 +77,10 @@ TEST(EngineConcurrency, MixedOpsFromManyClientsBitwiseMatchSequential) {
   add(ta.dim(0), 6, factors_req(mttkrp_a0, fa));
   add(ta.dim(2), 6, factors_req(mttkrp_a2, fa));
   add(tb.dim(1), 4, factors_req(mttkrp_b1, fb));
-  add(ta.dim(0), 6, factors_req(mttkrp_stream, fa));
+  // mttkrp_a0 again on a second worker grid: a chunk_nnz cap, so it never
+  // fuses with the uncapped jobs on the same plan.
+  const core::UnifiedOptions capped{.chunk_nnz = part.threadlen * 4};
+  add(ta.dim(0), 6, [&](DenseMatrix& out) { return mttkrp_a0.request(fa, out, capped); });
   add(tb.dim(0), 16, [&](DenseMatrix& out) { return ttmc.request(fb[1], fb[2], out); });
   // SpTTM and SpTTV write non-DenseMatrix outputs; adapt them to the shared
   // golden/compare shape by viewing the request's raw output buffer.

@@ -1,9 +1,10 @@
 // Engine-layer tests (DESIGN.md §11): plan acquisition and sharing through
-// the engine's per-device caches (SpTTV reusing SpMTTKRP entries), submit()
-// job admission (placement across the group, sim and sharded refusal,
-// bounded queue with typed QueueFull/ShuttingDown backpressure, exception
-// propagation, the completion callback and the drain at destruction),
-// prewarm, plan forgetting, and the aggregated Engine::stats() report.
+// the engine's per-device caches (SpTTV reusing SpMTTKRP entries), central
+// option validation, submit() job admission (placement across the group,
+// sim and sharded refusal, bounded queue with typed QueueFull/ShuttingDown
+// backpressure, exception propagation, the completion callback and the
+// drain at destruction), prewarm, plan forgetting, and the aggregated
+// Engine::stats() report.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -165,24 +166,49 @@ TEST(Engine, SubmitRefusesShardedJobsAndBadShapes) {
   EXPECT_EQ(DenseMatrix::max_abs_diff(out, single), 0.0);
 }
 
+TEST(Engine, RejectsInvalidOptions) {
+  // Central validation (core::validate): zero threadlen / block_size on every
+  // op constructor, and a chunk_nnz that is not a multiple of threadlen at
+  // run time.
+  sim::Device dev;
+  Engine eng(dev);
+  Prng rng(5005);
+  const CooTensor t = test::random_coo3(rng, 10, 200);
+  EXPECT_THROW(core::UnifiedMttkrp(eng, t, 0, Partitioning{.threadlen = 0}),
+               core::InvalidOptions);
+  EXPECT_THROW(core::UnifiedSpttm(eng, t, 0, Partitioning{.block_size = 0}),
+               core::InvalidOptions);
+  EXPECT_THROW(core::UnifiedTtv(eng, t, 0, Partitioning{.threadlen = 0}), core::InvalidOptions);
+  EXPECT_THROW(core::UnifiedTtmc(eng, t, 0, Partitioning{.block_size = 0}),
+               core::InvalidOptions);
+
+  const core::UnifiedMttkrp op(eng, t, 0, Partitioning{.threadlen = 8, .block_size = 32});
+  const auto factors = test::random_factors(t, 3, 9);
+  EXPECT_THROW(op.run(factors, core::UnifiedOptions{.chunk_nnz = 12}), core::InvalidOptions);
+}
+
 TEST(Engine, SubmitPropagatesExecutionExceptions) {
   // A capacity-limited device: the plan fits, the per-job factor staging
   // does not. The failure must surface on the job's future, not crash a
-  // worker.
-  Prng rng(107);
+  // worker. The capacity is the plan's own footprint, measured on a probe.
   const CooTensor t = io::generate_uniform({40, 40, 40}, 4000, 1070);
+  std::size_t plan_bytes = 0;
+  {
+    Engine probe;
+    plan_bytes = probe.plan(t, OpKind::kSpMTTKRP, 0, Partitioning{})->resident_bytes();
+  }
+  ASSERT_GT(plan_bytes, 0u);
   EngineOptions opt;
-  opt.props.global_mem_bytes = 1;  // nothing fits
-  Engine eng(opt);
-  EXPECT_THROW(
-      (void)eng.plan(t, OpKind::kSpMTTKRP, 0, Partitioning{}),
-      sim::DeviceOutOfMemory);
+  opt.props.global_mem_bytes = plan_bytes - 1;
+  {
+    Engine too_small(opt);
+    EXPECT_THROW((void)too_small.plan(t, OpKind::kSpMTTKRP, 0, Partitioning{}),
+                 sim::DeviceOutOfMemory);
+  }
 
-  // Streaming plans allocate no device memory at build time, so the plan
-  // succeeds and the failure happens inside the submitted job.
-  core::StreamingOptions stream;
-  stream.enabled = true;
-  const auto plan = eng.plan(t, OpKind::kSpMTTKRP, 0, Partitioning{}, stream);
+  opt.props.global_mem_bytes = plan_bytes;
+  Engine eng(opt);
+  const auto plan = eng.plan(t, OpKind::kSpMTTKRP, 0, Partitioning{});
   const auto factors = test::random_factors(t, 4, 19);
   DenseMatrix out(t.dim(0), 4);
   OpRequest req;

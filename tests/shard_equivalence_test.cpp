@@ -4,9 +4,9 @@
 // cap -- shard boundaries are whole worker chunks, interior segments commit
 // on exactly one device, and the cross-shard merge replays the single-device
 // left-to-right carry fold. Equality is exact float comparison across
-// {1,2,3,5} devices, both balance policies, random partitionings, the
-// streaming composition (shards that themselves stream), empty shards (more
-// devices than worker chunks), and one giant segment spanning all shards.
+// {1,2,3,5} devices, both balance policies, random partitionings, empty
+// shards (more devices than worker chunks), and one giant segment spanning
+// all shards.
 #include <gtest/gtest.h>
 
 #include "core/cp_als.hpp"
@@ -14,7 +14,6 @@
 #include "core/spttm.hpp"
 #include "core/spttmc.hpp"
 #include "core/spttv.hpp"
-#include "pipeline/chunker.hpp"
 #include "shard/shard_executor.hpp"
 #include "engine/engine.hpp"
 #include "sim/device.hpp"
@@ -153,41 +152,6 @@ TEST(ShardEquivalence, SpttvBitwiseMatchesSingleDevice) {
           ASSERT_EQ(got[i], want[i])
               << "trial " << trial << " row " << i << " devices " << devices;
         }
-      }
-    }
-  }
-}
-
-TEST(ShardEquivalence, ShardsComposeWithStreaming) {
-  // Sharding + streaming: each shard's worker chunks are regrouped into
-  // bounded stream chunks on the shard's device. Result must stay bitwise
-  // identical to a single-device native run at the chunker-resolved cap.
-  sim::Device dev;
-  engine::Engine eng(dev);
-  Prng rng(6005);
-  for (int trial = 0; trial < 10; ++trial) {
-    const CooTensor t = test::random_coo3(rng, 30, 1800);
-    const Partitioning part = random_part(rng);
-    const int mode = static_cast<int>(rng.next_below(3));
-    const index_t rank = 1 + static_cast<index_t>(rng.next_below(8));
-    const auto factors = test::random_factors(t, rank, rng);
-
-    StreamingOptions s;
-    s.enabled = true;
-    s.max_in_flight = 1 + static_cast<unsigned>(rng.next_below(3));
-    s.chunk_nnz = part.threadlen * (1 + rng.next_below(6));
-    s.chunk_bytes = (1 + rng.next_below(3)) * s.chunk_nnz * pipeline::plan_bytes_per_nnz(2);
-    const nnz_t cap = pipeline::resolve_chunk_nnz(t.nnz(), 2, part, s);
-
-    UnifiedMttkrp streaming_op(eng, t, mode, part, s);
-    UnifiedMttkrp mono(eng, t, mode, part);
-    const DenseMatrix want = mono.run(factors, UnifiedOptions{.chunk_nnz = cap});
-    for (unsigned devices : {2u, 4u}) {
-      for (ShardBalance balance : kBalances) {
-        const DenseMatrix got =
-            streaming_op.run(factors, sharded_options(/*cap=*/0, devices, balance));
-        ASSERT_EQ(DenseMatrix::max_abs_diff(got, want), 0.0)
-            << "trial " << trial << " devices " << devices << " chunk " << cap;
       }
     }
   }

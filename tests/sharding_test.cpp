@@ -123,17 +123,21 @@ TEST(Sharder, SegmentMetadataMatchesRankQueries) {
   }
   // Shards spanning thousands of head-flag words, with boundaries on word
   // edges (threadlen 64) and next to them (63, 65); then every non-zero a
-  // head, and one segment throughout.
+  // head, and one segment throughout. Two grids per input: the default 16
+  // worker chunks, and a cap of 40 partitions (27 or more worker chunks);
+  // 16 devices are as many as the default grid has worker chunks.
   const index_t big = (1u << 16) + 4321;
   for (const CooTensor& t : {test::mixed_segment_coo3(rng, 3 * big), segmented_tensor(big, 1),
                              segmented_tensor(1, big)}) {
     const FcooTensor f = test::make_mttkrp_fcoo(t, 0);
     for (const unsigned threadlen : {63u, 64u, 65u}) {
-      for (const unsigned devices : {2u, 4u}) {
-        for (const ShardBalance balance : {ShardBalance::kNnz, ShardBalance::kSegments}) {
-          SCOPED_TRACE(testing::Message() << "nnz " << f.nnz() << " threadlen " << threadlen
-                                          << " devices " << devices);
-          expect_metadata_matches_rank(f, shards_of(f, threadlen, devices, balance));
+      for (const nnz_t cap : {nnz_t{0}, nnz_t{40} * threadlen}) {
+        for (const unsigned devices : {2u, 4u, 16u}) {
+          for (const ShardBalance balance : {ShardBalance::kNnz, ShardBalance::kSegments}) {
+            SCOPED_TRACE(testing::Message() << "nnz " << f.nnz() << " threadlen " << threadlen
+                                            << " chunk_nnz " << cap << " devices " << devices);
+            expect_metadata_matches_rank(f, shards_of(f, threadlen, devices, balance, cap));
+          }
         }
       }
     }

@@ -304,9 +304,9 @@ TEST(SimdKernel, OpsForcedScalarBitwiseMatchesDispatched) {
   }
 }
 
-TEST(SimdKernel, RankBlockNeutralUnderStreaming) {
-  // rank_block composes with the streaming executor: a streamed run at any
-  // rank_block stays bitwise identical to the unblocked single-shot run.
+TEST(SimdKernel, RankBlockNeutralUnderSharding) {
+  // shard::execute builds its own column blocks: a sharded run at any
+  // rank_block stays bitwise identical to the unblocked single-device run.
   sim::Device dev;
   engine::Engine eng(dev);
   Prng rng(9229);
@@ -314,17 +314,19 @@ TEST(SimdKernel, RankBlockNeutralUnderStreaming) {
   const Partitioning part{.threadlen = 8, .block_size = 64};
   const index_t rank = 21;
   const auto factors = test::random_factors(t, rank, rng);
-  UnifiedMttkrp mono(eng, t, 0, part);
-  const DenseMatrix want = mono.run(factors, UnifiedOptions{.chunk_nnz = 64});
+  UnifiedMttkrp op(eng, t, 0, part);
+  const DenseMatrix want = op.run(factors, UnifiedOptions{.chunk_nnz = 64});
 
-  for (index_t rb : {index_t{0}, index_t{5}, index_t{16}}) {
-    UnifiedMttkrp streaming_op(eng, t, 0, part,
-                               StreamingOptions{.enabled = true, .chunk_nnz = 64});
-    UnifiedOptions opt;
-    opt.chunk_nnz = 64;
-    opt.rank_block = rb;
-    const DenseMatrix got = streaming_op.run(factors, opt);
-    ASSERT_EQ(DenseMatrix::max_abs_diff(got, want), 0.0) << "rank_block " << rb;
+  for (const unsigned devices : {2u, 3u}) {
+    for (const index_t rb : {index_t{0}, index_t{5}, index_t{16}}) {
+      UnifiedOptions opt;
+      opt.chunk_nnz = 64;
+      opt.rank_block = rb;
+      opt.shard.num_devices = devices;
+      const DenseMatrix got = op.run(factors, opt);
+      ASSERT_EQ(DenseMatrix::max_abs_diff(got, want), 0.0)
+          << "devices " << devices << " rank_block " << rb;
+    }
   }
 }
 

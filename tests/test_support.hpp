@@ -129,37 +129,33 @@ inline CooTensor mixed_segment_coo3(Prng& rng, nnz_t min_nnz) {
 /// one-shot semantics.
 inline DenseMatrix spmttkrp_unified(sim::Device& dev, const CooTensor& t, int mode,
                                     std::span<const DenseMatrix> factors, Partitioning part,
-                                    const core::UnifiedOptions& opt = {},
-                                    const core::StreamingOptions& stream = {}) {
+                                    const core::UnifiedOptions& opt = {}) {
   engine::Engine eng(dev);
-  core::UnifiedMttkrp op(eng, t, mode, part, stream);
+  core::UnifiedMttkrp op(eng, t, mode, part);
   return op.run(factors, opt);
 }
 
 inline SemiSparseTensor spttm_unified(sim::Device& dev, const CooTensor& t, int mode,
                                       const DenseMatrix& u, Partitioning part,
-                                      const core::UnifiedOptions& opt = {},
-                                      const core::StreamingOptions& stream = {}) {
+                                      const core::UnifiedOptions& opt = {}) {
   engine::Engine eng(dev);
-  core::UnifiedSpttm op(eng, t, mode, part, stream);
+  core::UnifiedSpttm op(eng, t, mode, part);
   return op.run(u, opt);
 }
 
 inline std::vector<value_t> spttv_unified(sim::Device& dev, const CooTensor& t, int mode,
                                           std::span<const std::vector<value_t>> vectors,
-                                          Partitioning part, const core::UnifiedOptions& opt = {},
-                                          const core::StreamingOptions& stream = {}) {
+                                          Partitioning part, const core::UnifiedOptions& opt = {}) {
   engine::Engine eng(dev);
-  core::UnifiedTtv op(eng, t, mode, part, stream);
+  core::UnifiedTtv op(eng, t, mode, part);
   return op.run(vectors, opt);
 }
 
 inline DenseMatrix spttmc_unified(sim::Device& dev, const CooTensor& t, int mode,
                                   const DenseMatrix& u_first, const DenseMatrix& u_second,
-                                  Partitioning part, const core::UnifiedOptions& opt = {},
-                                  const core::StreamingOptions& stream = {}) {
+                                  Partitioning part, const core::UnifiedOptions& opt = {}) {
   engine::Engine eng(dev);
-  core::UnifiedTtmc op(eng, t, mode, part, stream);
+  core::UnifiedTtmc op(eng, t, mode, part);
   return op.run(u_first, u_second, opt);
 }
 

@@ -1,8 +1,8 @@
 // One worker grid for every pool width (DESIGN.md §8): the native backend's
 // chunk grid is a function of nnz, threadlen and chunk_nnz alone, so every
-// native path -- single-shot SpTTM, SpMTTKRP, SpTTMc and SpTTV, a streamed
-// run, a sharded run and a fused batch -- returns the same bits on pools of
-// 1, 2, 3, 4 and 8 threads. Engine-level checks compare raw bit patterns
+// native path -- single-shot SpTTM, SpMTTKRP, SpTTMc and SpTTV, a sharded
+// run and a fused batch -- returns the same bits on pools of 1, 2, 3, 4 and
+// 8 threads. Engine-level checks compare raw bit patterns
 // against the 4-thread run; the make_chunks checks pin the grid rule itself.
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "core/spttv.hpp"
 #include "engine/engine.hpp"
 #include "io/datasets.hpp"
-#include "pipeline/chunker.hpp"
 #include "sim/device.hpp"
 #include "test_support.hpp"
 
@@ -113,23 +112,6 @@ TEST(WorkerGrid, SpttvIsBitwiseEqualOnEveryPoolWidth) {
   expect_same_bits_at_every_width([&](engine::Engine& eng) {
     core::UnifiedTtv op(eng, tensor(), 0, part());
     return op.run(vectors);
-  });
-}
-
-TEST(WorkerGrid, StreamedSpMttkrpIsBitwiseEqualOnEveryPoolWidth) {
-  const auto factors = test::random_factors(tensor(), 8, 7006);
-  // A budget of ~12k non-zeros' plan bytes streams the tensor in several
-  // chunks, each a run of whole worker chunks.
-  const core::StreamingOptions stream{
-      .enabled = true, .chunk_bytes = 12000 * pipeline::plan_bytes_per_nnz(2)};
-  expect_same_bits_at_every_width([&](engine::Engine& eng) {
-    core::UnifiedMttkrp op(eng, tensor(), 0, part(), stream);
-    sim::Device& dev = eng.device(0);
-    const std::uint64_t launches = dev.counters().kernel_launches;
-    Outputs out;
-    append(out, op.run(factors).span());
-    EXPECT_GE(dev.counters().kernel_launches - launches, 3u) << "one launch per stream chunk";
-    return out;
   });
 }
 
